@@ -5,7 +5,7 @@ JOBS ?= 4
 SCALE ?= 1.0
 CACHE_DIR ?= .repro-cache
 
-.PHONY: install test verify bench store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench fed-check fed-bench bench-check bench-trend dash eval figures report examples clean
+.PHONY: install test verify bench perf-paper store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench fed-check fed-bench bench-check bench-trend dash eval figures report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -27,6 +27,17 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Paper-pipeline throughput: three 25 s runs of the repo benchmark's
+# paper-grid workload (seeds 1-3), then their median sim_accesses_per_s.
+perf-paper:
+	@for seed in 1 2 3; do \
+		python3 perfbench/run.py --workload paper-grid --seed $$seed \
+			--seconds 25 --trace 0 | tail -n 1; \
+	done | python3 -c 'import json, statistics, sys; \
+	rates = [json.loads(line)["metrics"]["sim_accesses_per_s"]["value"] for line in sys.stdin]; \
+	print("paper-grid sim_accesses_per_s, seeds 1-3:", " ".join("%.0f" % r for r in rates)); \
+	print("median %.0f" % statistics.median(rates))'
 
 # Sharded-store replay benchmark; writes BENCH_store.json at the root.
 store-bench:

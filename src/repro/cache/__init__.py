@@ -4,6 +4,7 @@ two-level write-back hierarchy of the paper's Table 3.
 
 from repro.cache.fastsim import (
     FastSimResult,
+    lru_miss_mask,
     simulate_fully_associative_misses,
     simulate_misses,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "SkewedAssociativeCache",
     "TreePLRUPolicy",
     "VictimCache",
+    "lru_miss_mask",
     "make_replacement",
     "simulate_fully_associative_misses",
     "simulate_misses",

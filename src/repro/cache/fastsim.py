@@ -90,12 +90,18 @@ def _radix_argsort(values: np.ndarray, hi: int = None) -> np.ndarray:
     return order
 
 
-def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
-                   assoc: int, smax: int = None) -> np.ndarray:
+def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
+                  assoc: int, smax: int = None) -> np.ndarray:
     """Boolean per-access miss mask of a W-way LRU set-associative cache.
 
-    ``smax`` is an optional known upper bound on the set indices
-    (``n_sets - 1``), saving a max scan.
+    ``blocks`` are the block addresses in access order and ``sets`` the
+    set each maps to; a fully associative LRU cache is one set with
+    ``assoc`` equal to its capacity.  Bit-identical, access by access,
+    to the ``.hit`` sequence of an LRU
+    :class:`~repro.cache.setassoc.SetAssociativeCache` (or
+    :class:`~repro.cache.fully.FullyAssociativeCache`) fed the same
+    stream.  ``smax`` is an optional known upper bound on the set
+    indices (``n_sets - 1``), saving a max scan.
     """
     n = len(blocks)
     if n == 0:
@@ -198,9 +204,12 @@ def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     amb_miss = np.empty(amb.size, dtype=bool)
     m = amb.size
     cols = np.arange(max_len, dtype=np.int32)
-    index_buf = np.empty(_BATCH_ELEMENT_LIMIT, dtype=np.int32)
-    window_buf = np.empty(_BATCH_ELEMENT_LIMIT, dtype=cell)
-    closes_buf = np.empty(_BATCH_ELEMENT_LIMIT, dtype=bool)
+    # The scratch grows to the largest batch actually formed: allocating
+    # (and freeing) the full limit for a short stream makes glibc raise
+    # its mmap threshold and hold on to every later medium-sized free.
+    index_buf = np.empty(0, dtype=np.int32)
+    window_buf = np.empty(0, dtype=cell)
+    closes_buf = np.empty(0, dtype=bool)
     lo = 0
     while lo < m:
         shortest = int(lengths[lo])
@@ -212,6 +221,10 @@ def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
         hi = min(lo + max(_BATCH_ELEMENT_LIMIT // width, 1), hi)
         width = int(lengths[hi - 1])
         rows = hi - lo
+        if rows * width > index_buf.size:
+            index_buf = np.empty(rows * width, dtype=np.int32)
+            window_buf = np.empty(rows * width, dtype=cell)
+            closes_buf = np.empty(rows * width, dtype=bool)
         indices = index_buf[:rows * width].reshape(rows, width)
         np.add(starts[lo:hi, None], cols[:width], out=indices)
         windows = window_buf[:rows * width].reshape(rows, width)
@@ -275,7 +288,7 @@ def _simulate_misses_core(
         return FastSimResult(0, 0, empty,
                              empty.copy() if per_set_counters else None)
     sets = np.asarray(indexing.index_array(blocks), dtype=np.int64)
-    miss = _lru_miss_mask(blocks, sets, assoc, smax=n_sets - 1)
+    miss = lru_miss_mask(blocks, sets, assoc, smax=n_sets - 1)
     set_accesses = set_misses = None
     if per_set_counters:
         set_accesses = np.bincount(sets, minlength=n_sets)

@@ -185,7 +185,13 @@ class SkewedAssociativeCache:
 
     def access(self, block_address: int, is_write: bool = False) -> AccessResult:
         """Probe all banks; on miss, fill the policy-chosen victim frame."""
-        indices = self.family.indices(block_address)
+        return self.access_at(block_address, self.family.indices(block_address),
+                              is_write)
+
+    def access_at(self, block_address: int, indices: List[int],
+                  is_write: bool = False) -> AccessResult:
+        """:meth:`access` with the block's bank indices already computed
+        (one row of :meth:`BankIndexingFamily.indices_array`)."""
         stats = self.stats
         if is_write:
             stats.writes += 1

@@ -5,6 +5,7 @@ from repro.cpu.config import (
     SCHEMES,
     MachineConfig,
     build_hierarchy,
+    build_l1,
     build_l2,
 )
 from repro.cpu.simulator import (
@@ -12,6 +13,8 @@ from repro.cpu.simulator import (
     NormalizedTime,
     Simulator,
     simulate_scheme,
+    simulate_scheme_reference,
+    simulate_schemes,
 )
 
 __all__ = [
@@ -22,6 +25,9 @@ __all__ = [
     "SCHEME_LABELS",
     "Simulator",
     "build_hierarchy",
+    "build_l1",
     "build_l2",
     "simulate_scheme",
+    "simulate_scheme_reference",
+    "simulate_schemes",
 ]

@@ -143,17 +143,21 @@ def build_l2(scheme: str, config: MachineConfig = None,
     raise KeyError(f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}")
 
 
+def build_l1(config: MachineConfig = None) -> SetAssociativeCache:
+    """The L1 data cache: traditional indexing, LRU, for every scheme."""
+    config = config or MachineConfig.paper_default()
+    return SetAssociativeCache(
+        config.l1_sets, config.l1_assoc, TraditionalIndexing(config.l1_sets),
+        name="L1",
+    )
+
+
 def build_hierarchy(scheme: str, config: MachineConfig = None,
                     skew_replacement: str = "enru") -> CacheHierarchy:
     """Full L1+L2 hierarchy for one scheme key."""
     config = config or MachineConfig.paper_default()
-    l1 = SetAssociativeCache(
-        config.l1_sets, config.l1_assoc, TraditionalIndexing(config.l1_sets),
-        name="L1",
-    )
-    l2 = build_l2(scheme, config, skew_replacement)
     return CacheHierarchy(
-        l1, l2,
+        build_l1(config), build_l2(scheme, config, skew_replacement),
         l1_block_bytes=config.l1_block_bytes,
         l2_block_bytes=config.l2_block_bytes,
     )

@@ -18,14 +18,41 @@ same three components this simulator produces:
 Absolute cycle counts are not the point; ratios between indexing
 schemes are driven by L2 miss counts and DRAM row behavior, which the
 substrate models directly.
+
+Two paths produce the same :class:`ExecutionResult`, bit for bit:
+
+* :func:`simulate_schemes` (and its one-scheme case
+  :func:`simulate_scheme`) splits the hierarchy at the L1/L2 boundary.
+  The L1 is the same for every scheme, so one scalar L1 pass emits the
+  L2 request stream (:func:`l2_request_stream`), each LRU L2 resolves
+  that stream to a per-request miss mask in numpy
+  (:func:`~repro.cache.fastsim.lru_miss_mask`), and a lean loop turns
+  the masks into cycles.  Skewed and other non-LRU L2s replay the
+  stream through their cache object instead.
+* :class:`Simulator` driving a :class:`~repro.cache.hierarchy.CacheHierarchy`
+  one access at a time (:func:`simulate_scheme_reference`) is the
+  oracle the fast path is tested against.
+
+The split is exact because a result depends only on each L2 request's
+hit or miss: DRAM writes are posted (they neither stall nor move row
+state, see :meth:`~repro.memory.dram.DramModel.service`), so which L2
+line is evicted, and whether it is dirty, never reaches the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Iterable
 
+import numpy as np
+
+from repro.cache.fastsim import lru_miss_mask
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cpu.config import MachineConfig, build_hierarchy
+from repro.cache.replacement import LRUPolicy
+from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.skewed import SkewedAssociativeCache
+from repro.cpu.config import MachineConfig, build_hierarchy, build_l1, build_l2
+from repro.mathutil import log2_exact
 from repro.memory import DramModel
 from repro.trace.records import Trace
 
@@ -99,6 +126,12 @@ class Simulator:
         ``warmup_fraction`` runs that leading share of the trace to
         populate the caches, then resets every statistic before the
         measured region — the standard way to exclude cold misses.
+
+        Only ``"mem"``-level accesses reach DRAM.  An access whose dirty
+        L1 victim misses L2 on its write-allocate but whose demand read
+        then hits L2 is ``"l2"``-level: it pays ``l2_exposed`` and the
+        victim's allocate fill (and any L2 writeback it caused) is never
+        charged to DRAM.  :func:`simulate_schemes` reproduces this.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -159,11 +192,228 @@ class Simulator:
         )
 
 
+@dataclass(frozen=True)
+class L2RequestStream:
+    """The requests an L1 sends to L2 over one trace, in program order.
+
+    Each L1 miss emits, in this order, its dirty victim's write (when
+    the victim was dirty) and then its demand read.
+
+    Attributes:
+        blocks: L2 block address of every request (uint64).
+        is_write: True for a dirty-victim write, False for a demand read.
+        access_index: trace index of the access that issued the request.
+    """
+
+    blocks: np.ndarray
+    is_write: np.ndarray
+    access_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+
+def l2_request_stream(trace: Trace,
+                      config: MachineConfig = None) -> L2RequestStream:
+    """One scalar pass of the L1 (:func:`~repro.cpu.config.build_l1`)
+    over ``trace``, recording the L2 request stream it emits."""
+    config = config or MachineConfig.paper_default()
+    l1_bits = log2_exact(config.l1_block_bytes)
+    l2_bits = log2_exact(config.l2_block_bytes)
+    if l2_bits < l1_bits:
+        raise ValueError("L2 lines must be at least as large as L1 lines")
+    shift = l2_bits - l1_bits
+    access = build_l1(config).access
+    l1_blocks = (trace.addresses >> np.uint64(l1_bits)).tolist()
+    blocks, writes, index = [], [], []
+    for i, (block, is_write) in enumerate(zip(l1_blocks,
+                                              trace.is_write.tolist())):
+        result = access(block, is_write)
+        if result.hit:
+            continue
+        if result.writeback:
+            blocks.append(result.victim_block >> shift)
+            writes.append(True)
+            index.append(i)
+        blocks.append(block >> shift)
+        writes.append(False)
+        index.append(i)
+    return L2RequestStream(np.array(blocks, dtype=np.uint64),
+                           np.array(writes, dtype=bool),
+                           np.array(index, dtype=np.int64))
+
+
+def _l2_miss_mask(l2, stream: L2RequestStream) -> np.ndarray:
+    """Per-request miss mask of a fresh L2 cache object over ``stream``.
+
+    LRU set-associative caches are resolved in numpy; any other cache
+    replays the stream (:func:`_replay_hits`).  The fully associative
+    L2 replays too: as one LRU set of ``n_blocks`` ways its reuse
+    windows are long, so the numpy scan's scratch memory would
+    dominate the run's footprint, while the O(1) ordered-dict replay
+    costs about as much time.
+    """
+    if isinstance(l2, SetAssociativeCache) and type(l2.policy) is LRUPolicy:
+        sets = np.asarray(l2.indexing.index_array(stream.blocks),
+                          dtype=np.int64)
+        return lru_miss_mask(stream.blocks, sets, l2.assoc,
+                             smax=l2.indexing.n_sets - 1)
+    return ~np.fromiter(_replay_hits(l2, stream), dtype=bool,
+                        count=len(stream))
+
+
+#: Requests replayed per chunk: bounds the Python objects held at once.
+_REPLAY_CHUNK = 4096
+
+
+def _replay_hits(l2, stream: L2RequestStream):
+    """Hit flag of every request replayed through ``l2.access``, or
+    ``access_at`` for a skewed cache, whose bank indices are hashed in
+    numpy a chunk at a time."""
+    skewed = isinstance(l2, SkewedAssociativeCache)
+    for lo in range(0, len(stream), _REPLAY_CHUNK):
+        chunk = slice(lo, lo + _REPLAY_CHUNK)
+        blocks = stream.blocks[chunk]
+        writes = stream.is_write[chunk].tolist()
+        if skewed:
+            access_at = l2.access_at
+            yield from (access_at(block, indices, is_write).hit
+                        for block, indices, is_write in zip(
+                            blocks.tolist(),
+                            l2.family.indices_array(blocks).tolist(),
+                            writes))
+        else:
+            access = l2.access
+            yield from (access(block, is_write).hit
+                        for block, is_write in zip(blocks.tolist(), writes))
+
+
+def _time_scheme(trace: Trace, scheme: str, stream: L2RequestStream,
+                 miss: np.ndarray, config: MachineConfig,
+                 start: int) -> ExecutionResult:
+    """The timing loop of :meth:`Simulator.run`, given every L2
+    request's hit/miss; ``start`` is the first measured access."""
+    meta = trace.meta
+    n = len(trace) - start
+    busy = n * meta.instructions_per_access / config.issue_width
+    other = (n * (meta.mispredicts_per_kaccess / 1000.0)
+             * config.branch_penalty)
+    mlp = min(meta.mlp, float(config.pending_loads))
+    l2_exposed = config.l2_hit_cycles * config.l2_exposed_fraction
+    step = meta.instructions_per_access / config.issue_width
+    step_l2 = step + l2_exposed
+
+    measured = slice(int(np.searchsorted(stream.access_index, start)), None)
+    writes = stream.is_write[measured]
+    index = stream.access_index[measured]
+    miss = miss[measured]
+    demand = np.flatnonzero(~writes)
+    demand_miss = miss[demand]
+    # 0 = L1 hit, 1 = L2 hit, 2 = serviced by memory
+    levels = np.zeros(n, dtype=np.int8)
+    levels[index[demand] - start] = 1 + demand_miss
+    # A write request is always its access's dirty victim, issued right
+    # before that access's demand read; on a "mem"-level access DRAM
+    # first services the victim's allocate fill if that write missed.
+    to_mem = demand[demand_miss]
+    victims = np.maximum(to_mem - 1, 0)
+    victim_fills = (to_mem > 0) & writes[victims] & miss[victims]
+    dram = DramModel(config.dram_config())
+    blocks = stream.blocks[measured]
+    locations = (dram.locate_array(blocks[victims])
+                 + dram.locate_array(blocks[to_mem]))
+    mem = iter(zip(victim_fills.tolist(),
+                   *(column.tolist() for column in locations)))
+
+    read = dram.read_at
+    memory_stall = 0.0
+    now = 0.0
+    for level in levels.tolist():
+        if not level:
+            now += step
+        elif level == 1:
+            memory_stall += l2_exposed
+            now += step_l2
+        else:
+            fill, fill_channel, fill_bank, fill_row, channel, bank, row = \
+                next(mem)
+            stall = 0.0
+            if fill:
+                stall += read(now + stall, fill_channel, fill_bank, fill_row)
+            stall += read(now + stall, channel, bank, row)
+            stall /= mlp
+            memory_stall += stall
+            now += step + stall
+
+    return ExecutionResult(
+        workload=trace.name,
+        scheme=scheme,
+        busy=busy,
+        other_stalls=other,
+        memory_stall=memory_stall,
+        l1_misses=len(demand),
+        l2_accesses=len(writes),
+        l2_misses=int(np.count_nonzero(miss)),
+        dram_row_hits=dram.stats.row_hits,
+        dram_row_misses=dram.stats.row_misses,
+    )
+
+
+def simulate_schemes(trace: Trace, schemes: Iterable[str],
+                     config: MachineConfig = None,
+                     skew_replacement: str = "enru",
+                     warmup_fraction: float = 0.0) -> Dict[str, ExecutionResult]:
+    """Simulate ``trace`` once per L2 scheme, sharing one L1 pass.
+
+    Equal, field for field, to :func:`simulate_scheme_reference` for
+    every scheme.  The L1 (identical for every scheme) runs once over
+    the whole trace, warm-up included, and emits the L2 request
+    stream; each scheme's L2 resolves that stream to a per-request
+    miss mask (:func:`_l2_miss_mask`); the timing loop then charges
+    ``l2_exposed`` to ``"l2"``-level accesses and calls
+    DRAM only for ``"mem"``-level ones (:meth:`DramModel.read_at`) — the
+    demand read, preceded by the dirty victim's allocate fill when that
+    write missed L2 too.  As in :meth:`Simulator.run`, a victim fill
+    whose access's demand read then hits L2 is never charged to DRAM,
+    and DRAM writebacks are posted, so they are not modelled at all.
+
+    Caches start empty on every call; nothing is shared across calls.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    config = config or MachineConfig.paper_default()
+    stream = l2_request_stream(trace, config)
+    start = int(len(trace) * warmup_fraction)
+    return {
+        scheme: _time_scheme(
+            trace, scheme, stream,
+            _l2_miss_mask(build_l2(scheme, config, skew_replacement), stream),
+            config, start,
+        )
+        for scheme in schemes
+    }
+
+
 def simulate_scheme(trace: Trace, scheme: str,
                     config: MachineConfig = None,
                     skew_replacement: str = "enru",
                     warmup_fraction: float = 0.0) -> ExecutionResult:
-    """Convenience: build a fresh hierarchy for ``scheme`` and run."""
+    """Simulate one L2 scheme (the one-scheme case of
+    :func:`simulate_schemes`)."""
+    return simulate_schemes(trace, [scheme], config, skew_replacement,
+                            warmup_fraction)[scheme]
+
+
+def simulate_scheme_reference(trace: Trace, scheme: str,
+                              config: MachineConfig = None,
+                              skew_replacement: str = "enru",
+                              warmup_fraction: float = 0.0) -> ExecutionResult:
+    """The per-access hierarchy path; the equivalence oracle.
+
+    Builds a fresh :class:`CacheHierarchy` for ``scheme`` and runs
+    :class:`Simulator` over it.  Kept as the reference
+    :func:`simulate_schemes` is tested against.
+    """
     config = config or MachineConfig.paper_default()
     hierarchy = build_hierarchy(scheme, config, skew_replacement)
     dram = DramModel(config.dram_config())

@@ -15,7 +15,8 @@ regenerate-per-cell worker):
 * **grid scheduling** — :meth:`SimulationEngine.run_grid` schedules the
   process pool *by workload*, so a worker synthesizes its workload's
   trace a single time and then simulates every outstanding scheme
-  against it.
+  against it in one :func:`~repro.cpu.simulator.simulate_schemes` call,
+  which also shares the scheme-independent L1 pass.
 
 The engine is call-compatible with the historical ``ResultStore``
 (``result`` / ``speedup`` / ``miss_ratio`` / ``.config``), so every
@@ -29,7 +30,11 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cpu.config import MachineConfig
-from repro.cpu.simulator import ExecutionResult, simulate_scheme
+from repro.cpu.simulator import (
+    ExecutionResult,
+    simulate_scheme,
+    simulate_schemes,
+)
 from repro.engine.cache import ResultCache
 from repro.engine.key import RunConfig, SimulationKey
 from repro.engine.materialize import TraceMaterializer
@@ -43,22 +48,15 @@ _WorkloadTask = Tuple[str, Tuple[str, ...], RunConfig, Optional[MachineConfig]]
 def _simulate_workload_schemes(
     task: _WorkloadTask,
 ) -> Tuple[str, List[Tuple[str, ExecutionResult]]]:
-    """Worker: one trace generation, many scheme simulations.
+    """Worker: one trace generation, one multi-scheme simulation.
 
     Module-level so it pickles under the spawn start method too.
     """
     workload, schemes, config, machine = task
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
-    return workload, [
-        (
-            scheme,
-            simulate_scheme(
-                trace, scheme, config=machine,
-                skew_replacement=config.skew_replacement,
-            ),
-        )
-        for scheme in schemes
-    ]
+    results = simulate_schemes(trace, schemes, config=machine,
+                               skew_replacement=config.skew_replacement)
+    return workload, list(results.items())
 
 
 class SimulationEngine:
@@ -139,6 +137,20 @@ class SimulationEngine:
                 skew_replacement=self.config.skew_replacement,
             )
 
+    def _simulate_schemes(self, workload: str,
+                          schemes: List[str]) -> Dict[str, ExecutionResult]:
+        """Every listed scheme of one workload in one
+        :func:`simulate_schemes` call (one shared L1 pass)."""
+        trace = self.traces.get(workload)
+        self.sim_count += len(schemes)
+        get_registry().counter("engine.sim.runs").inc(len(schemes))
+        with trace_span("simulate", workload=workload,
+                        scheme=",".join(schemes)):
+            return simulate_schemes(
+                trace, schemes, config=self.machine,
+                skew_replacement=self.config.skew_replacement,
+            )
+
     def _store(self, cell: Tuple[str, str], result: ExecutionResult) -> None:
         self._results[cell] = result
         if self.cache is not None:
@@ -169,8 +181,8 @@ class SimulationEngine:
 
         Cells already memoized or persisted are reused; the remainder
         are scheduled one *workload* per task so each trace is
-        generated exactly once, serially or across ``jobs`` worker
-        processes.  Returns the complete grid.
+        generated, and its L1 simulated, exactly once, serially or
+        across ``jobs`` worker processes.  Returns the complete grid.
         """
         workloads = list(workloads)
         schemes = list(schemes)
@@ -198,9 +210,9 @@ class SimulationEngine:
                                 self._store((workload, scheme), result)
                 else:
                     for workload, todo in missing.items():
-                        for scheme in todo:
-                            self._store((workload, scheme),
-                                        self._simulate(workload, scheme))
+                        results = self._simulate_schemes(workload, todo)
+                        for scheme, result in results.items():
+                            self._store((workload, scheme), result)
         return {
             (w, s): self._results[(w, s)] for w in workloads for s in schemes
         }

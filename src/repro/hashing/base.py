@@ -86,6 +86,25 @@ class BankIndexingFamily(abc.ABC):
         """Set index in every bank, in bank order."""
         return [self.bank_index(b, block_address) for b in range(self.n_banks)]
 
+    def bank_index_array(self, bank: int,
+                         block_addresses: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`bank_index`; default falls back to the
+        scalar path."""
+        return np.fromiter(
+            (self.bank_index(bank, int(a)) for a in block_addresses),
+            dtype=np.int64,
+            count=len(block_addresses),
+        )
+
+    def indices_array(self, block_addresses: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`indices`: one row of bank indices per
+        address, shape ``(len(block_addresses), n_banks)``."""
+        return np.stack(
+            [self.bank_index_array(b, block_addresses)
+             for b in range(self.n_banks)],
+            axis=1,
+        )
+
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(n_sets_per_bank={self.n_sets_per_bank}, "

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.hashing.base import BankIndexingFamily
 from repro.mathutil import circular_shift_left
 
@@ -36,6 +38,20 @@ class SkewedXorFamily(BankIndexingFamily):
         x = block_address & mask
         t = (block_address >> self.index_bits) & mask
         return circular_shift_left(t, bank, self.index_bits) ^ x
+
+    def bank_index_array(self, bank: int,
+                         block_addresses: np.ndarray) -> np.ndarray:
+        if not 0 <= bank < self.n_banks:
+            raise IndexError(f"bank {bank} out of range [0, {self.n_banks})")
+        a = np.asarray(block_addresses, dtype=np.uint64)
+        bits = self.index_bits
+        mask = np.uint64(self.n_sets_per_bank - 1)
+        x = a & mask
+        t = (a >> np.uint64(bits)) & mask
+        shift = bank % bits
+        rotated = ((t << np.uint64(shift))
+                   | (t >> np.uint64(bits - shift))) & mask
+        return (rotated ^ x).astype(np.int64)
 
 
 class SkewedPrimeDisplacementFamily(BankIndexingFamily):
@@ -67,3 +83,15 @@ class SkewedPrimeDisplacementFamily(BankIndexingFamily):
         x = block_address & mask
         tag = block_address >> self.index_bits
         return (self.displacements[bank] * tag + x) & mask
+
+    def bank_index_array(self, bank: int,
+                         block_addresses: np.ndarray) -> np.ndarray:
+        if not 0 <= bank < self.n_banks:
+            raise IndexError(f"bank {bank} out of range [0, {self.n_banks})")
+        a = np.asarray(block_addresses, dtype=np.uint64)
+        mask = np.uint64(self.n_sets_per_bank - 1)
+        x = a & mask
+        tag = a >> np.uint64(self.index_bits)
+        # uint64 wrap-around leaves the masked low bits exact
+        return ((np.uint64(self.displacements[bank]) * tag + x)
+                & mask).astype(np.int64)

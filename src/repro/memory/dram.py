@@ -11,7 +11,9 @@ bursts queue behind each other).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,29 @@ class DramModel:
         """
         if block_address < 0:
             raise ValueError("block address must be non-negative")
-        cfg = self.config
         channel, bank, row = self._locate(block_address)
-        stats = self.stats
         if is_write:
-            stats.writes += 1
+            self.stats.writes += 1
             return 0.0
+        return self.read_at(now, channel, bank, row)
+
+    def locate_array(self, block_addresses: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Vectorized ``(channel, global bank, row)`` of L2 block
+        addresses, for :meth:`read_at`."""
+        cfg = self.config
+        blocks = np.asarray(block_addresses, dtype=np.uint64)
+        channel = blocks % np.uint64(cfg.channels)
+        interleaved = blocks // np.uint64(cfg.channels)
+        bank = (channel * np.uint64(cfg.banks_per_channel)
+                + interleaved % np.uint64(cfg.banks_per_channel))
+        row = interleaved // np.uint64(cfg.row_blocks)
+        return channel, bank, row
+
+    def read_at(self, now: float, channel: int, bank: int, row: int) -> float:
+        """:meth:`service` of a read whose location is already known
+        (one entry of :meth:`locate_array`)."""
+        cfg = self.config
+        stats = self.stats
         stats.reads += 1
 
         start = max(now, self._channel_free_at[channel])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import FullyAssociativeCache, SetAssociativeCache
 from repro.cache.fastsim import (
+    lru_miss_mask,
     simulate_fully_associative_misses,
     simulate_misses,
     simulate_misses_reference,
@@ -103,6 +104,52 @@ class TestVectorizedVsReference:
         assert fast.misses == ref.misses
         assert np.array_equal(fast.set_accesses, ref.set_accesses)
         assert np.array_equal(fast.set_misses, ref.set_misses)
+
+
+class TestPerAccessMask:
+    """lru_miss_mask agrees with the cache models access by access, not
+    only in its miss count."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4095), min_size=1, max_size=400),
+        st.sampled_from(["traditional", "xor", "pmod", "pdisp"]),
+        st.sampled_from([1, 2, 4, 8]),
+    )
+    def test_set_associative_hit_sequence(self, blocks, key, assoc):
+        indexing = make_indexing(key, 64)
+        blocks = np.asarray(blocks, dtype=np.uint64)
+        mask = lru_miss_mask(blocks, indexing.index_array(blocks), assoc)
+        cache = SetAssociativeCache(64, assoc, make_indexing(key, 64))
+        assert mask.tolist() == [not cache.access(int(b)).hit
+                                 for b in blocks]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2047), min_size=1, max_size=300),
+           st.sampled_from([1, 2, 8, 32]))
+    def test_fully_associative_hit_sequence(self, blocks, capacity):
+        blocks = np.asarray(blocks, dtype=np.uint64)
+        mask = lru_miss_mask(blocks, np.zeros(len(blocks), dtype=np.int64),
+                             capacity)
+        cache = FullyAssociativeCache(capacity)
+        assert mask.tolist() == [not cache.access(int(b)).hit
+                                 for b in blocks]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_random_streams(self, seed):
+        """Skewed reuse over a footprint a few times the capacity, so
+        reuse windows are long and many of them are ambiguous."""
+        rng = np.random.default_rng(seed)
+        blocks = (rng.zipf(1.3, size=6000) % 3000).astype(np.uint64)
+        indexing = PrimeModuloIndexing(256)
+        mask = lru_miss_mask(blocks, indexing.index_array(blocks), 4)
+        cache = SetAssociativeCache(256, 4, PrimeModuloIndexing(256))
+        assert mask.tolist() == [not cache.access(int(b)).hit
+                                 for b in blocks]
+        mask = lru_miss_mask(blocks, np.zeros(len(blocks), dtype=np.int64),
+                             512)
+        fa = FullyAssociativeCache(512)
+        assert mask.tolist() == [not fa.access(int(b)).hit for b in blocks]
 
 
 class TestInterface:

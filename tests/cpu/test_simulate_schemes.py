@@ -1,0 +1,150 @@
+"""simulate_schemes (one shared L1 pass, L2s resolved per request)
+against the per-access hierarchy oracle, simulate_scheme_reference."""
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from repro.cpu import (
+    SCHEMES,
+    MachineConfig,
+    build_hierarchy,
+    simulate_scheme,
+    simulate_scheme_reference,
+    simulate_schemes,
+)
+from repro.cpu.simulator import l2_request_stream
+from repro.trace import Trace, TraceMetadata
+from repro.workloads import all_workload_names, get_workload
+
+SCALE = 0.01
+#: Small enough that dirty L1 victims miss L2 often, so the DRAM
+#: victim-fill branches run on real traces too.
+SMALL = MachineConfig(l1_bytes=4 * 1024, l2_bytes=32 * 1024)
+
+
+def workload_trace(name, seed=0):
+    return get_workload(name).trace(scale=SCALE, seed=seed)
+
+
+def assert_matches_reference(trace, schemes=SCHEMES, **kwargs):
+    fast = simulate_schemes(trace, schemes, **kwargs)
+    assert list(fast) == list(schemes)
+    for scheme in schemes:
+        reference = simulate_scheme_reference(trace, scheme, **kwargs)
+        assert asdict(fast[scheme]) == asdict(reference), scheme
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("warmup", [0.0, 0.3])
+    @pytest.mark.parametrize("workload", all_workload_names())
+    def test_every_scheme_matches_reference(self, workload, warmup):
+        assert_matches_reference(workload_trace(workload),
+                                 warmup_fraction=warmup)
+
+    @pytest.mark.parametrize("config", [
+        MachineConfig(l2_bytes=256 * 1024),
+        SMALL,
+        MachineConfig(l1_bytes=8 * 1024, l2_bytes=64 * 1024,
+                      l2_block_bytes=128),
+    ], ids=["l2-256k", "small", "l2-128b-lines"])
+    @pytest.mark.parametrize("warmup", [0.0, 0.3])
+    def test_non_default_machine(self, config, warmup):
+        for workload in ("tree", "mcf", "ft", "sparse"):
+            assert_matches_reference(workload_trace(workload), config=config,
+                                     warmup_fraction=warmup)
+
+    @pytest.mark.parametrize("config", [None, SMALL], ids=["paper", "small"])
+    def test_nrunrw_skew_replacement(self, config):
+        for workload in ("tree", "mcf", "lu"):
+            assert_matches_reference(workload_trace(workload),
+                                     schemes=["skw", "skw+pdisp"],
+                                     config=config,
+                                     skew_replacement="nrunrw")
+
+    def test_other_seeds(self):
+        for seed in (1, 2):
+            assert_matches_reference(workload_trace("applu", seed),
+                                     config=SMALL, warmup_fraction=0.3)
+
+
+# A = 0 and C = 8 KB share L1 set 0 but sit in different L2 sets;
+# B_k = k * 128 KB share L1 set 0 *and* L2 set 0 with A.
+A, C = 0, 8 * 1024
+B = [k * 128 * 1024 for k in range(1, 5)]
+#: Writes A, then pushes A's line out of the 4-way L2 set with B1..B4
+#: while re-touching A between them so it stays (dirty) in the 2-way L1.
+SETUP = [(C, False), (A, True)] + [
+    access for b in B for access in ((A, False), (b, False))]
+
+
+def hand_trace(final_address):
+    """SETUP then one load that evicts dirty A from L1: A's victim
+    write misses L2, the load's own demand read hits or misses."""
+    accesses = SETUP + [(final_address, False)]
+    return Trace("victim-fill",
+                 np.array([a for a, _ in accesses], dtype=np.uint64),
+                 np.array([w for _, w in accesses], dtype=bool),
+                 TraceMetadata(mlp=1.0))
+
+
+class TestVictimFillQuirk:
+    """A dirty L1 victim whose write-allocate misses L2 is charged to
+    DRAM only when the access's demand read misses L2 as well."""
+
+    def final_outcome(self, trace):
+        hierarchy = build_hierarchy("base")
+        for address, is_write in zip(trace.addresses, trace.is_write):
+            outcome = hierarchy.access(int(address), bool(is_write))
+        return outcome, hierarchy
+
+    def test_demand_hit_is_l2_level_and_never_charged(self):
+        trace = hand_trace(C)  # C is still resident in L2
+        outcome, hierarchy = self.final_outcome(trace)
+        assert outcome.level == "l2"
+        assert outcome.memory_reads == [A >> 6]  # recorded, not charged
+        assert hierarchy.l2.stats.writes == 1
+        reference = simulate_scheme_reference(trace, "base")
+        assert simulate_scheme(trace, "base") == reference
+        # C, A and B1..B4 reach DRAM once each; A's fill never does
+        assert reference.dram_row_hits + reference.dram_row_misses == 6
+        assert reference.l2_accesses == 8 and reference.l2_misses == 7
+
+    def test_demand_miss_charges_the_fill_first(self):
+        trace = hand_trace(2 * C)  # L1 set 0, an L2 set never touched
+        outcome, _ = self.final_outcome(trace)
+        assert outcome.level == "mem"
+        assert outcome.memory_reads == [A >> 6, (2 * C) >> 6]
+        reference = simulate_scheme_reference(trace, "base")
+        assert simulate_scheme(trace, "base") == reference
+        assert reference.dram_row_hits + reference.dram_row_misses == 8
+
+    def test_stream_records_victim_before_demand(self):
+        stream = l2_request_stream(hand_trace(C))
+        last = len(SETUP)
+        assert stream.access_index[-2:].tolist() == [last, last]
+        assert stream.is_write[-2:].tolist() == [True, False]
+        assert stream.blocks[-2:].tolist() == [A >> 6, C >> 6]
+
+
+class TestInterface:
+    def test_one_scheme_case(self):
+        trace = workload_trace("mcf")
+        assert simulate_scheme(trace, "pmod") == simulate_schemes(
+            trace, ["pmod"])["pmod"]
+
+    def test_warmup_validated(self):
+        trace = workload_trace("lu")
+        for bad in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                simulate_schemes(trace, ["base"], warmup_fraction=bad)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(KeyError):
+            simulate_schemes(workload_trace("lu"), ["base", "nope"])
+
+    def test_empty_trace(self):
+        empty = Trace("empty", np.zeros(0, dtype=np.uint64),
+                      np.zeros(0, dtype=bool))
+        assert_matches_reference(empty)

@@ -35,13 +35,13 @@ class TestPersistence:
 
         calls = []
         import repro.engine.runner as runner
-        real = runner.simulate_scheme
+        real = runner.simulate_schemes
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "simulate_scheme", counting)
+        monkeypatch.setattr(runner, "simulate_schemes", counting)
         warm = SimulationEngine(CONFIG, cache_dir=tmp_path)
         grid = warm.run_grid(["lu", "tree"], ["base", "pmod"])
         assert calls == []

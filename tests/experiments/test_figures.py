@@ -1,23 +1,27 @@
 """Integration tests for the execution-time / miss figures and Table 4.
 
-One shared ResultStore at a moderate trace scale feeds every figure, so
-the full 23-app x 8-scheme sweep is simulated exactly once per test
-session.  Assertions target the paper's *shapes* (who wins, roughly by
-how much, where the pathologies are), not absolute numbers.
+One shared engine at a moderate trace scale feeds every figure: the
+full 23-app x 8-scheme sweep is simulated exactly once per test
+session, as one grid (one L1 pass per app).  Assertions target the
+paper's *shapes* (who wins, roughly by how much, where the pathologies
+are), not absolute numbers.
 """
 
 import pytest
 
+from repro.cpu import SCHEMES
+from repro.engine import RunConfig, SimulationEngine
 from repro.experiments import miss_reduction, multi_hash, single_hash, summary
-from repro.experiments.common import ResultStore, RunConfig
-from repro.workloads import NONUNIFORM_APPS
+from repro.workloads import NONUNIFORM_APPS, all_workload_names
 
 SCALE = 0.4
 
 
 @pytest.fixture(scope="module")
 def store():
-    return ResultStore(RunConfig(scale=SCALE, seed=0))
+    engine = SimulationEngine(RunConfig(scale=SCALE, seed=0))
+    engine.run_grid(all_workload_names(), SCHEMES)
+    return engine
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hashing import available_indexings, make_indexing
+from repro.hashing import (
+    SkewedPrimeDisplacementFamily,
+    SkewedXorFamily,
+    available_indexings,
+    make_indexing,
+)
 
 GEOMETRIES = (16, 256, 2048, 8192)
 SEEDS = (0, 7, 1234)
@@ -65,3 +70,24 @@ def test_vectorized_matches_scalar_property(key, addrs):
     assert indexing.index_array(batch).tolist() == [
         indexing.index(a) for a in addrs
     ]
+
+
+@pytest.mark.parametrize("family_cls", [SkewedXorFamily,
+                                        SkewedPrimeDisplacementFamily])
+@pytest.mark.parametrize("n_sets_per_bank", (16, 2048))
+def test_bank_families_vectorized_match_scalar(family_cls, n_sets_per_bank):
+    """Skewed bank hashes: one row of ``indices_array`` per address
+    equals the scalar ``indices``, for random and edge addresses."""
+    family = family_cls(n_sets_per_bank, 4)
+    rng = np.random.default_rng(0)
+    addrs = np.concatenate([
+        rng.integers(0, 2**63, size=2048, dtype=np.uint64),
+        np.array([0, 1, n_sets_per_bank - 1, n_sets_per_bank, 2**63 - 1,
+                  2**64 - 1], dtype=np.uint64),
+    ])
+    rows = family.indices_array(addrs)
+    assert rows.shape == (len(addrs), 4)
+    assert rows.tolist() == [family.indices(int(a)) for a in addrs]
+    assert family.indices_array(addrs[:0]).shape == (0, 4)
+    with pytest.raises(IndexError):
+        family.bank_index_array(4, addrs)

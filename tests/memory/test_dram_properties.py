@@ -65,3 +65,26 @@ class TestChannelMapping:
     def test_same_block_same_location(self):
         dram = DramModel()
         assert dram._locate(12345) == dram._locate(12345)
+
+
+class TestLocatedReads:
+    """locate_array + read_at replay service() read for read."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1 << 40),
+                              st.floats(0, 50, allow_nan=False)),
+                    min_size=1, max_size=200),
+           st.sampled_from([DramConfig(),
+                            DramConfig(channels=3, banks_per_channel=5,
+                                       row_blocks=7)]))
+    def test_matches_service(self, reads, config):
+        blocks = np.array([b for b, _ in reads], dtype=np.uint64)
+        located = zip(*(column.tolist()
+                        for column in DramModel(config).locate_array(blocks)))
+        by_service, by_location = DramModel(config), DramModel(config)
+        now = 0.0
+        for (block, gap), (channel, bank, row) in zip(reads, located):
+            now += gap
+            assert (by_location.read_at(now, channel, bank, row)
+                    == by_service.service(now, block))
+        assert by_location.stats == by_service.stats

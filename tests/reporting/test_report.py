@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.experiments.common import ResultStore, RunConfig
+from repro.cpu import SCHEMES
+from repro.engine import RunConfig, SimulationEngine
 from repro.reporting.report import full_report
+from repro.workloads import all_workload_names
 
 
 @pytest.fixture(scope="module")
 def report():
-    return full_report(ResultStore(RunConfig(scale=0.1)))
+    engine = SimulationEngine(RunConfig(scale=0.1))
+    engine.run_grid(all_workload_names(), SCHEMES)
+    return full_report(engine)
 
 
 class TestFullReport:
