@@ -18,10 +18,10 @@ test:
 # (check-only: `make bench-check` is the target that appends history).
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.reshard --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.adversary --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.federation --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
 
@@ -65,22 +65,22 @@ serve-bench:
 # Health gate: the SLO burn-rate fault drill + hash-quality drift
 # drill; exits nonzero unless every watchdog check holds.
 health-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.health --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments health --check
 
 # Tracing gate: the serving drill with request tracing on (per-scheme
 # stage decompositions must explain >=90% of measured wall time), the
 # cluster drill likewise, and the health drill's SLO page must leave a
 # journaled flight dump with a complete slow-trace waterfall.
 trace-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.serving --trace --check --scale 0.25
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --trace --check --scale 0.25
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.health --check --scale 0.5
+	PYTHONPATH=src $(PYTHON) -m repro.experiments serving --trace --check --scale 0.25
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --trace --check --scale 0.25
+	PYTHONPATH=src $(PYTHON) -m repro.experiments health --check --scale 0.5
 
 # Reshard gate: live prime-ladder resize under zipfian traffic; exits
 # nonzero unless the reshard contract holds (zero key loss, bounded
 # in-flight moves, Figure 5 ordering preserved post-resize).
 reshard-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.reshard --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
 
 # Online-reshard benchmark: migration drain rate + during-migration
 # throughput; writes BENCH_reshard.json at the root.
@@ -93,7 +93,7 @@ reshard-bench:
 # contract holds (zero key loss, no failed reads during the outage,
 # budgeted drain chunks, Figure 5 ordering on the composed map).
 cluster-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
 
 # Cluster benchmark: healthy-ring replicated-op throughput, during-
 # loss rps and simulated p99, re-replication drain rate; writes
@@ -106,7 +106,7 @@ cluster-bench:
 # holds (exact linear recovery, >=5x prime probe cost, zero-loss
 # rotation back to green).
 adversary-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.adversary --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
 
 # Attack-economics benchmark: probes-to-crack per scheme and wall-time
 # from adversarial page to journaled mitigation; writes
@@ -118,7 +118,7 @@ adversary-bench:
 # paging, TSDB retention, scrape overhead; exits nonzero unless every
 # contract check holds.
 fed-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.federation --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 
 # Telemetry-plane benchmark: scrape sweep rate, merge cost per series,
 # TSDB append throughput; writes BENCH_fed.json at the root.

@@ -7,10 +7,10 @@ from repro.experiments.single_hash import build_figure
 from repro.workloads import UNIFORM_APPS
 
 
-def test_fig10_multi_hash_uniform(benchmark, store):
+def test_fig10_multi_hash_uniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 10", UNIFORM_APPS, MULTI_HASH_SCHEMES, store),
+        args=("Figure 10", UNIFORM_APPS, MULTI_HASH_SCHEMES, engine),
         rounds=1, iterations=1,
     )
     print()

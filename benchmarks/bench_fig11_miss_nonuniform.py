@@ -5,10 +5,10 @@ from repro.experiments.miss_reduction import build_figure
 from repro.workloads import NONUNIFORM_APPS
 
 
-def test_fig11_miss_reduction_nonuniform(benchmark, store):
+def test_fig11_miss_reduction_nonuniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 11", NONUNIFORM_APPS, store),
+        args=("Figure 11", NONUNIFORM_APPS, engine),
         rounds=1, iterations=1,
     )
     print()

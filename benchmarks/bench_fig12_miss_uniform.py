@@ -6,10 +6,10 @@ from repro.experiments.miss_reduction import build_figure
 from repro.workloads import UNIFORM_APPS
 
 
-def test_fig12_miss_reduction_uniform(benchmark, store):
+def test_fig12_miss_reduction_uniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 12", UNIFORM_APPS, store),
+        args=("Figure 12", UNIFORM_APPS, engine),
         rounds=1, iterations=1,
     )
     print()

@@ -5,10 +5,10 @@ from repro.experiments.single_hash import SINGLE_HASH_SCHEMES, build_figure
 from repro.workloads import NONUNIFORM_APPS
 
 
-def test_fig7_single_hash_nonuniform(benchmark, store):
+def test_fig7_single_hash_nonuniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 7", NONUNIFORM_APPS, SINGLE_HASH_SCHEMES, store),
+        args=("Figure 7", NONUNIFORM_APPS, SINGLE_HASH_SCHEMES, engine),
         rounds=1, iterations=1,
     )
     print()

@@ -5,10 +5,10 @@ from repro.experiments.single_hash import SINGLE_HASH_SCHEMES, build_figure
 from repro.workloads import UNIFORM_APPS
 
 
-def test_fig8_single_hash_uniform(benchmark, store):
+def test_fig8_single_hash_uniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 8", UNIFORM_APPS, SINGLE_HASH_SCHEMES, store),
+        args=("Figure 8", UNIFORM_APPS, SINGLE_HASH_SCHEMES, engine),
         rounds=1, iterations=1,
     )
     print()

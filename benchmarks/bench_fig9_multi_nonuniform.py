@@ -6,10 +6,10 @@ from repro.experiments.single_hash import build_figure
 from repro.workloads import NONUNIFORM_APPS
 
 
-def test_fig9_multi_hash_nonuniform(benchmark, store):
+def test_fig9_multi_hash_nonuniform(benchmark, engine):
     figure = benchmark.pedantic(
         build_figure,
-        args=("Figure 9", NONUNIFORM_APPS, MULTI_HASH_SCHEMES, store),
+        args=("Figure 9", NONUNIFORM_APPS, MULTI_HASH_SCHEMES, engine),
         rounds=1, iterations=1,
     )
     print()

@@ -3,10 +3,10 @@
 from repro.experiments import summary
 
 
-def test_table4_summary(benchmark, store):
+def test_table4_summary(benchmark, engine):
     summaries = benchmark.pedantic(
         summary.run,
-        kwargs=dict(config=store.config, store=store),
+        kwargs=dict(config=engine.config, engine=engine),
         rounds=1, iterations=1,
     )
     print()

@@ -11,7 +11,7 @@ Workflow a cache architect would actually use:
 Run:  python examples/custom_workload_advisor.py
 """
 
-from repro.cpu import simulate_scheme
+from repro.cpu import simulate_schemes
 from repro.hashing import score_indexings, stride_spectrum
 from repro.workloads import CompositeWorkload
 
@@ -42,9 +42,9 @@ def main() -> None:
 
     # 3. Verify with the simulator.
     print("\nSimulated execution (normalized to Base):")
-    base = simulate_scheme(trace, "base")
-    for scheme in ("8way", "xor", "pmod", "pdisp"):
-        result = simulate_scheme(trace, scheme)
+    results = simulate_schemes(trace, ("base", "8way", "xor", "pmod", "pdisp"))
+    base = results.pop("base")
+    for scheme, result in results.items():
         print(f"  {scheme:6s} speedup {result.speedup_over(base):5.2f}, "
               f"misses {result.l2_misses / base.l2_misses:5.2f} of Base")
     print("\nThe spectrum predicted the winner without running a "

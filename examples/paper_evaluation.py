@@ -38,7 +38,6 @@ def main() -> None:
         print(f"Pre-simulating the 23x{len(SCHEMES)} grid with "
               f"{engine.jobs} workers...")
         engine.run_grid(all_workload_names(), SCHEMES)
-    store = engine  # shared across all simulation figures
 
     print(fragmentation.render(fragmentation.run()), "\n")
     print(qualitative.render(qualitative.run()), "\n")
@@ -51,20 +50,20 @@ def main() -> None:
 
     print(f"Simulating 23 workloads x 8 cache schemes "
           f"(scale {config.scale}); this is the long part...")
-    fig7, fig8 = single_hash.run(config, store)
+    fig7, fig8 = single_hash.run(config, engine)
     print(single_hash.render(fig7), "\n")
     print(single_hash.render(fig8), "\n")
 
-    fig9, fig10 = multi_hash.run(config, store)
+    fig9, fig10 = multi_hash.run(config, engine)
     print(single_hash.render(fig9), "\n")
     print(single_hash.render(fig10), "\n")
 
-    fig11, fig12 = miss_reduction.run(config, store)
+    fig11, fig12 = miss_reduction.run(config, engine)
     print(miss_reduction.render(fig11), "\n")
     print(miss_reduction.render(fig12), "\n")
 
     print(miss_distribution.render(miss_distribution.run(config)), "\n")
-    print(summary.render(summary.run(config, store)))
+    print(summary.render(summary.run(config, engine)))
 
 
 if __name__ == "__main__":

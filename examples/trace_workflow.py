@@ -11,7 +11,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from repro.cpu import simulate_scheme
+from repro.cpu import simulate_schemes
 from repro.trace import (
     load_trace_npz,
     read_dinero,
@@ -48,8 +48,8 @@ def main() -> None:
     lines = [f"{i % 3 == 0:d} {i * 131072:x}" for i in range(1, 33)]
     foreign = io.StringIO("\n".join(lines * 60))
     imported = read_dinero(foreign, name="foreign-trace")
-    base = simulate_scheme(imported, "base")
-    pmod = simulate_scheme(imported, "pmod")
+    results = simulate_schemes(imported, ("base", "pmod"))
+    base, pmod = results["base"], results["pmod"]
     print(f"\nImported trace: {imported!r}")
     print(f"  Base  L2 misses: {base.l2_misses}")
     print(f"  pMod  L2 misses: {pmod.l2_misses}")

@@ -42,11 +42,11 @@ line is evicted, and whether it is dirty, never reaches the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.cache.fastsim import lru_miss_mask
+from repro.cache.fastsim import lru_miss_mask, simulate_misses
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import LRUPolicy
 from repro.cache.setassoc import SetAssociativeCache
@@ -243,23 +243,50 @@ def l2_request_stream(trace: Trace,
                            np.array(index, dtype=np.int64))
 
 
+def _resolved_in_numpy(l2) -> bool:
+    """Whether ``l2`` is an LRU set-associative cache, whose outcomes
+    numpy computes without replaying the stream.
+
+    The fully associative L2 replays: as one LRU set of ``n_blocks``
+    ways its reuse windows are long, so the numpy scan's scratch
+    memory would dominate the run's footprint, while the O(1)
+    ordered-dict replay costs about as much time.
+    """
+    return isinstance(l2, SetAssociativeCache) and type(l2.policy) is LRUPolicy
+
+
 def _l2_miss_mask(l2, stream: L2RequestStream) -> np.ndarray:
     """Per-request miss mask of a fresh L2 cache object over ``stream``.
 
     LRU set-associative caches are resolved in numpy; any other cache
-    replays the stream (:func:`_replay_hits`).  The fully associative
-    L2 replays too: as one LRU set of ``n_blocks`` ways its reuse
-    windows are long, so the numpy scan's scratch memory would
-    dominate the run's footprint, while the O(1) ordered-dict replay
-    costs about as much time.
+    replays the stream (:func:`_replay_hits`).
     """
-    if isinstance(l2, SetAssociativeCache) and type(l2.policy) is LRUPolicy:
+    if _resolved_in_numpy(l2):
         sets = np.asarray(l2.indexing.index_array(stream.blocks),
                           dtype=np.int64)
         return lru_miss_mask(stream.blocks, sets, l2.assoc,
                              smax=l2.indexing.n_sets - 1)
     return ~np.fromiter(_replay_hits(l2, stream), dtype=bool,
                         count=len(stream))
+
+
+def l2_set_counters(l2, stream: L2RequestStream
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-set (accesses, misses) of a fresh L2 cache object over
+    ``stream``: the ``set_accesses`` / ``set_misses`` its
+    :class:`~repro.cache.stats.CacheStats` would hold behind the L1
+    that emitted the stream.
+
+    Dispatches like :func:`_l2_miss_mask`: LRU set-associative caches
+    are counted in numpy (:func:`~repro.cache.fastsim.simulate_misses`),
+    any other cache replays the stream and reports its own stats.
+    """
+    if _resolved_in_numpy(l2):
+        counts = simulate_misses(l2.indexing, stream.blocks, l2.assoc)
+        return counts.set_accesses, counts.set_misses
+    for _ in _replay_hits(l2, stream):
+        pass
+    return l2.stats.set_accesses, l2.stats.set_misses
 
 
 #: Requests replayed per chunk: bounds the Python objects held at once.
@@ -383,15 +410,30 @@ def simulate_schemes(trace: Trace, schemes: Iterable[str],
         raise ValueError("warmup_fraction must be in [0, 1)")
     config = config or MachineConfig.paper_default()
     stream = l2_request_stream(trace, config)
-    start = int(len(trace) * warmup_fraction)
     return {
-        scheme: _time_scheme(
-            trace, scheme, stream,
-            _l2_miss_mask(build_l2(scheme, config, skew_replacement), stream),
-            config, start,
-        )
+        scheme: simulate_l2(trace, scheme,
+                            build_l2(scheme, config, skew_replacement),
+                            stream, config, warmup_fraction)
         for scheme in schemes
     }
+
+
+def simulate_l2(trace: Trace, scheme: str, l2, stream: L2RequestStream,
+                config: MachineConfig = None,
+                warmup_fraction: float = 0.0) -> ExecutionResult:
+    """Simulate ``trace`` on the L1 that emitted ``stream`` over a fresh
+    L2 cache object ``l2``, labelled ``scheme``: what :class:`Simulator`
+    measures on that hierarchy.
+
+    :func:`simulate_schemes` is this over :func:`~repro.cpu.config.build_l2`'s
+    L2s; pass any other L2 (another indexing or associativity) to reuse
+    one :func:`l2_request_stream` across them.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    config = config or MachineConfig.paper_default()
+    return _time_scheme(trace, scheme, stream, _l2_miss_mask(l2, stream),
+                        config, int(len(trace) * warmup_fraction))
 
 
 def simulate_scheme(trace: Trace, scheme: str,

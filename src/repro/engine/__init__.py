@@ -10,8 +10,7 @@ One layer every figure, table, ablation and benchmark flows through:
 * :class:`TraceMaterializer` — each workload trace is generated once
   per grid and shared across schemes.
 * :class:`SimulationEngine` — memoization + persistence + a process
-  pool scheduled by workload; call-compatible with the historical
-  ``ResultStore``.
+  pool scheduled by workload.
 * :class:`ExperimentSpec` / :func:`register` / :func:`run_experiment` —
   the declarative experiment registry behind
   ``python -m repro.experiments <name>`` and the shared artifact

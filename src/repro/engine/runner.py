@@ -1,9 +1,7 @@
 """The simulation engine every experiment flows through.
 
-:class:`SimulationEngine` unifies three concerns that used to live in
-separate, partially-private pieces (``ResultStore`` memoization, the
-``diskcache`` persistence subclass, and ``experiments.parallel``'s
-regenerate-per-cell worker):
+:class:`SimulationEngine` is the one runner of (workload, scheme)
+simulations; it owns three concerns:
 
 * **memoization + persistence** — every result is content-addressed by
   a :class:`~repro.engine.key.SimulationKey`; with a cache directory
@@ -18,9 +16,8 @@ regenerate-per-cell worker):
   against it in one :func:`~repro.cpu.simulator.simulate_schemes` call,
   which also shares the scheme-independent L1 pass.
 
-The engine is call-compatible with the historical ``ResultStore``
-(``result`` / ``speedup`` / ``miss_ratio`` / ``.config``), so every
-figure builder accepts either.
+The figure builders read it through ``result`` / ``speedup`` /
+``miss_ratio`` / ``.config``.
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ class SimulationEngine:
         return SimulationKey.for_run(workload, scheme, self.config,
                                      self.machine)
 
-    # -- single-cell API (ResultStore-compatible) ----------------------
+    # -- single-cell API -----------------------------------------------
 
     def result(self, workload: str, scheme: str) -> ExecutionResult:
         """Simulate (or fetch the cached run of) one configuration."""

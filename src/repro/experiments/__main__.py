@@ -6,7 +6,7 @@
     python -m repro.experiments <name> [--scale S] [--seed N]
         [--skew-replacement P] [--jobs J] [--cache-dir DIR]
         [--param KEY=VALUE ...] [--artifact PATH]
-        [--metrics-out PATH] [--trace]
+        [--metrics-out PATH] [--trace] [--check]
 
 Every registered experiment runs through the same path: build an
 artifact (the JSON document described in :mod:`repro.engine.registry`),
@@ -25,6 +25,11 @@ whatever lifecycle events the engine/store/serve layers emit; and
 ``--dash PATH`` renders the post-run health dashboard (metrics + SLO
 burn rates + drift + journal tail + bench trajectory) as one
 self-contained HTML file.
+
+``--check`` makes the run a gate: after everything else is written it
+exits 1, naming every false entry of the artifact's ``data["checks"]``
+block, or when the artifact has no such block (the drill experiments
+emit one; the figures do not).
 """
 
 from __future__ import annotations
@@ -65,6 +70,15 @@ def parse_params(items: List[str]) -> Dict[str, Any]:
     return params
 
 
+def failed_checks(artifact: Dict[str, Any]) -> List[str]:
+    """Names of the false entries in ``artifact["data"]["checks"]``;
+    ``["checks block missing"]`` when there is no non-empty block."""
+    checks = artifact["data"].get("checks")
+    if not isinstance(checks, dict) or not checks:
+        return ["checks block missing"]
+    return [name for name, ok in checks.items() if not ok]
+
+
 def list_experiments() -> str:
     lines = []
     for name in all_experiment_names():
@@ -97,6 +111,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--dash", default=None, metavar="PATH",
                         help="enable observability and write the "
                              "post-run health dashboard HTML to PATH")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless the artifact's checks block "
+                             "exists and every check in it holds")
     args = parser.parse_args(argv)
     if args.experiment == "list":
         print(list_experiments())
@@ -158,6 +175,14 @@ def main(argv: Optional[List[str]] = None) -> None:
             drift_statuses=drift, bench_root=".")
         path = write_dashboard(args.dash, model)
         print(f"health dashboard written to {path}", file=sys.stderr)
+    if args.check:
+        failing = failed_checks(artifact)
+        if failing:
+            print(f"{args.experiment}-check: FAILED ({', '.join(failing)})",
+                  file=sys.stderr)
+            raise SystemExit(1)
+        stream = sys.stderr if args.artifact == "-" else sys.stdout
+        print(f"{args.experiment}-check: ok", file=stream)
 
 
 if __name__ == "__main__":

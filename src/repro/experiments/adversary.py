@@ -47,8 +47,6 @@ from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
     register,
-    render_artifact,
-    run_experiment,
 )
 from repro.obs import (
     Journal,
@@ -408,23 +406,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.adversary ...`` runs
+    ``python -m repro.experiments adversary ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every adversary contract "
-                             "check holds (the make adversary-check gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("adversary", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"adversary-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("adversary-check: ok")
+    cli(["adversary", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -49,13 +49,10 @@ from repro.engine import (
     ExperimentSpec,
     SimulationKey,
     register,
-    render_artifact,
-    run_experiment,
 )
 from repro.hashing import balance_from_counts
 from repro.obs import (
     Journal,
-    enable_observability,
     get_collector,
     get_journal,
     set_journal,
@@ -398,29 +395,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.cluster ...`` runs
+    ``python -m repro.experiments cluster ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every cluster contract "
-                             "check holds (the make cluster-check gate)")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable op tracing: sample wall-clock stage "
-                             "timelines and publish the per-stack "
-                             "critical-path decomposition")
-    args = parser.parse_args()
-    if args.trace:
-        enable_observability()
-    artifact = run_experiment("cluster", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"cluster-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("cluster-check: ok")
+    cli(["cluster", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -9,81 +9,22 @@ via ``python -m repro.experiments <name>``).
 Simulation runs flow through :mod:`repro.engine`: the
 :class:`~repro.engine.SimulationEngine` content-addresses every run,
 persists results under ``--cache-dir``, materializes each workload
-trace once per grid and schedules parallel grids by workload.  The
-historical :class:`ResultStore` remains as the minimal in-memory
-memoizer; the engine is call-compatible with it, and everything here
-accepts either.
+trace once per grid and schedules parallel grids by workload.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
 
-from repro.cpu import ExecutionResult, simulate_scheme
 from repro.engine import ExperimentContext, RunConfig, SimulationEngine
-from repro.workloads import get_workload
 
 __all__ = [
     "ExperimentContext",
-    "ResultStore",
     "RunConfig",
     "config_from_args",
     "context_from_args",
     "standard_argparser",
 ]
-
-
-@dataclass
-class ResultStore:
-    """Minimal in-memory memoizing runner for (workload, scheme) runs.
-
-    :class:`~repro.engine.SimulationEngine` supersedes this (adding
-    persistence, trace sharing and parallel grids) and exposes the same
-    ``result`` / ``speedup`` / ``miss_ratio`` surface; the store stays
-    for lightweight call sites and backward compatibility.
-    """
-
-    config: RunConfig = field(default_factory=RunConfig)
-    _results: Dict[Tuple[str, str], ExecutionResult] = field(
-        default_factory=dict, repr=False
-    )
-
-    def result(self, workload: str, scheme: str) -> ExecutionResult:
-        """Simulate (or return the cached run of) one configuration."""
-        key = (workload, scheme)
-        cached = self._results.get(key)
-        if cached is None:
-            trace = get_workload(workload).trace(
-                scale=self.config.scale, seed=self.config.seed
-            )
-            cached = simulate_scheme(
-                trace, scheme, skew_replacement=self.config.skew_replacement
-            )
-            self._results[key] = cached
-        return cached
-
-    def preload(self, results: Dict[Tuple[str, str], ExecutionResult]) -> None:
-        """Adopt externally computed results (e.g. from a parallel grid).
-
-        The public way to pre-populate a store; keeps callers off the
-        private ``_results`` dict.
-        """
-        self._results.update(results)
-
-    def speedup(self, workload: str, scheme: str) -> float:
-        """Speedup of ``scheme`` over Base for one workload."""
-        return self.result(workload, scheme).speedup_over(
-            self.result(workload, "base")
-        )
-
-    def miss_ratio(self, workload: str, scheme: str) -> float:
-        """L2 misses normalized to Base for one workload."""
-        base = self.result(workload, "base").l2_misses
-        if base == 0:
-            return 1.0
-        return self.result(workload, scheme).l2_misses / base
 
 
 def standard_argparser(description: str) -> argparse.ArgumentParser:

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu import MachineConfig, Simulator
+from repro.cache import SetAssociativeCache
+from repro.cpu import MachineConfig
+from repro.cpu.simulator import l2_request_stream, simulate_l2
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -28,7 +29,6 @@ from repro.experiments.common import (
     standard_argparser,
 )
 from repro.hashing import make_indexing
-from repro.memory import DramModel
 from repro.reporting import format_table
 from repro.workloads import get_workload
 
@@ -43,36 +43,31 @@ class DesignPoint:
     cycles: float
 
 
-def _hierarchy(indexing_key: str, assoc: int,
-               machine: MachineConfig) -> CacheHierarchy:
-    if machine.l2_blocks % assoc:
-        raise ValueError(f"capacity not divisible by associativity {assoc}")
-    n_sets = machine.l2_blocks // assoc
-    l1 = SetAssociativeCache(
-        machine.l1_sets, machine.l1_assoc,
-        make_indexing("traditional", machine.l1_sets), name="L1",
-    )
-    l2 = SetAssociativeCache(
-        n_sets, assoc, make_indexing(indexing_key, n_sets),
-        name=f"{indexing_key}/{assoc}w",
-    )
-    return CacheHierarchy(l1, l2, machine.l1_block_bytes,
-                          machine.l2_block_bytes)
-
-
 def run(workload: str, config: RunConfig = RunConfig(),
         indexings: Sequence[str] = ("traditional", "xor", "pmod", "pdisp"),
-        associativities: Sequence[int] = (1, 2, 4, 8)) -> List[DesignPoint]:
-    """Sweep the design space for one workload at constant L2 capacity."""
-    machine = MachineConfig.paper_default()
+        associativities: Sequence[int] = (1, 2, 4, 8),
+        machine: MachineConfig = None) -> List[DesignPoint]:
+    """Sweep the design space for one workload at constant L2 capacity
+    (``machine``'s, Table 3's by default).
+
+    ``indexings`` are :func:`~repro.hashing.make_indexing` keys.  The L1
+    does not depend on the L2, so one L1 pass serves every point.
+    """
+    machine = machine or MachineConfig.paper_default()
+    for assoc in associativities:
+        if machine.l2_blocks % assoc:
+            raise ValueError(
+                f"capacity not divisible by associativity {assoc}")
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
+    stream = l2_request_stream(trace, machine)
     points = []
     for key in indexings:
         for assoc in associativities:
-            hierarchy = _hierarchy(key, assoc, machine)
-            sim = Simulator(hierarchy, DramModel(machine.dram_config()),
-                            machine, scheme=f"{key}/{assoc}")
-            result = sim.run(trace)
+            n_sets = machine.l2_blocks // assoc
+            l2 = SetAssociativeCache(n_sets, assoc,
+                                     make_indexing(key, n_sets))
+            result = simulate_l2(trace, f"{key}/{assoc}", l2, stream,
+                                 machine)
             points.append(DesignPoint(key, assoc, result.l2_misses,
                                       result.cycles))
     return points
@@ -104,6 +99,7 @@ def _build(ctx: ExperimentContext) -> Dict:
         indexings=tuple(ctx.param("indexings",
                                   ("traditional", "xor", "pmod", "pdisp"))),
         associativities=tuple(ctx.param("associativities", (1, 2, 4, 8))),
+        machine=ctx.engine.machine,
     )
     return {"workload": workload, "points": [asdict(p) for p in points]}
 

@@ -55,8 +55,6 @@ from repro.engine import (
     ExperimentSpec,
     SimulationKey,
     register,
-    render_artifact,
-    run_experiment,
 )
 from repro.obs import Journal, declare_core_metrics, set_journal
 from repro.obs.fed import Federation
@@ -401,24 +399,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.federation ...`` runs
+    ``python -m repro.experiments federation ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every federation "
-                             "contract check holds (the make fed-check "
-                             "gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("federation", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"fed-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("fed-check: ok")
+    cli(["federation", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

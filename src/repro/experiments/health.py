@@ -45,8 +45,6 @@ from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
     register,
-    render_artifact,
-    run_experiment,
 )
 from repro.obs import (
     Journal,
@@ -440,23 +438,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.health ...`` runs
+    ``python -m repro.experiments health ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every health check "
-                             "holds (the make health-check gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("health", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"health-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("health-check: ok")
+    cli(["health", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Two parts:
    "sets 0, 15, 15, 15, ..." — and strides 3 and 5 (factors of 15)
    fail too.  We measure the balance of every L1-sized hash at those
    strides.
-2. A hierarchy-level check: swapping the L1's indexing function and
+2. An L1-level check: swapping the L1's indexing function and
    driving the paper's workloads shows XOR at L1 losing to traditional
    on odd-stride-rich traffic, while prime modulo at L1 stays safe —
    the reason the paper targets the L2 (where fragmentation is
@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu import MachineConfig, Simulator
+import numpy as np
+
+from repro.cache import simulate_misses
+from repro.cpu import MachineConfig
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -40,7 +42,7 @@ from repro.hashing import (
     make_indexing,
     strided_addresses,
 )
-from repro.memory import DramModel
+from repro.mathutil import log2_exact
 from repro.reporting import format_table
 from repro.workloads import get_workload
 
@@ -81,33 +83,27 @@ def example_balance(strides=(1, 3, 5, 15, 16, 17),
     return rows
 
 
-def _hierarchy_with_l1_indexing(key: str, config: MachineConfig) -> CacheHierarchy:
-    l1 = SetAssociativeCache(
-        config.l1_sets, config.l1_assoc, make_indexing(key, config.l1_sets),
-        name=f"L1/{key}",
-    )
-    l2 = SetAssociativeCache(
-        config.l2_sets, config.l2_assoc,
-        make_indexing("traditional", config.l2_sets), name="L2",
-    )
-    return CacheHierarchy(l1, l2, config.l1_block_bytes, config.l2_block_bytes)
-
-
 def l1_miss_comparison(config: RunConfig = RunConfig(),
                        apps=("swim", "tomcatv", "lu"),
-                       l1_keys=("traditional", "xor", "pmod")) -> Dict[str, Dict[str, int]]:
-    """L1 miss counts per L1 indexing key for unit-stride-rich apps."""
-    machine = MachineConfig.paper_default()
+                       l1_keys=("traditional", "xor", "pmod"),
+                       machine: MachineConfig = None) -> Dict[str, Dict[str, int]]:
+    """L1 miss counts per L1 indexing key for unit-stride-rich apps.
+
+    The L1 is LRU, so its hits and misses do not depend on which
+    accesses write: the block-address stream alone decides them.
+    """
+    machine = machine or MachineConfig.paper_default()
+    offset = np.uint64(log2_exact(machine.l1_block_bytes))
     results: Dict[str, Dict[str, int]] = {}
     for app in apps:
         trace = get_workload(app).trace(scale=config.scale, seed=config.seed)
-        results[app] = {}
-        for key in l1_keys:
-            hierarchy = _hierarchy_with_l1_indexing(key, machine)
-            sim = Simulator(hierarchy, DramModel(machine.dram_config()),
-                            machine, scheme=f"l1-{key}")
-            sim.run(trace)
-            results[app][key] = hierarchy.l1.stats.misses
+        blocks = trace.addresses >> offset
+        results[app] = {
+            key: simulate_misses(make_indexing(key, machine.l1_sets), blocks,
+                                 machine.l1_assoc,
+                                 per_set_counters=False).misses
+            for key in l1_keys
+        }
     return results
 
 
@@ -136,13 +132,13 @@ def render(rows: List[L1BalanceRow],
     return table1 + "\n\n" + table2
 
 
-def run(config: RunConfig = RunConfig()):
-    """Both halves of the experiment: (example rows, hierarchy misses)."""
-    return example_balance(), l1_miss_comparison(config)
+def run(config: RunConfig = RunConfig(), machine: MachineConfig = None):
+    """Both halves of the experiment: (example rows, L1 misses)."""
+    return example_balance(), l1_miss_comparison(config, machine=machine)
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    rows, misses = run(ctx.config)
+    rows, misses = run(ctx.config, machine=ctx.engine.machine)
     return {
         "balance_rows": [
             {

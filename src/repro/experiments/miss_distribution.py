@@ -14,7 +14,8 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.cpu import build_hierarchy
+from repro.cpu import MachineConfig, build_l2
+from repro.cpu.simulator import l2_request_stream, l2_set_counters
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -56,26 +57,26 @@ class MissDistribution:
         return float(self.set_misses.std() / mean) if mean else 0.0
 
 
-def _measure(trace: Trace,
-             schemes: Sequence[str]) -> Dict[str, MissDistribution]:
-    """Drive ``trace`` through each scheme's hierarchy, keeping the
-    per-set L2 miss counters."""
-    results = {}
-    for scheme in schemes:
-        hierarchy = build_hierarchy(scheme)
-        for address, is_write in zip(trace.addresses, trace.is_write):
-            hierarchy.access(int(address), bool(is_write))
-        results[scheme] = MissDistribution(
-            scheme, hierarchy.l2.stats.set_misses.copy()
-        )
-    return results
+def _measure(trace: Trace, schemes: Sequence[str],
+             machine: MachineConfig = None,
+             skew_replacement: str = "enru") -> Dict[str, MissDistribution]:
+    """Per-set L2 miss counts of each scheme behind one shared L1 pass
+    over ``trace``."""
+    machine = machine or MachineConfig.paper_default()
+    stream = l2_request_stream(trace, machine)
+    return {
+        scheme: MissDistribution(scheme, l2_set_counters(
+            build_l2(scheme, machine, skew_replacement), stream)[1])
+        for scheme in schemes
+    }
 
 
 def run(config: RunConfig = RunConfig(), workload: str = "tree",
         schemes=("base", "pmod")) -> Dict[str, MissDistribution]:
     """Collect per-set miss counts for the requested schemes."""
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
-    return _measure(trace, schemes)
+    return _measure(trace, schemes,
+                    skew_replacement=config.skew_replacement)
 
 
 def render(results: Dict[str, MissDistribution],
@@ -121,7 +122,8 @@ def _build(ctx: ExperimentContext) -> Dict:
                 continue
         todo.append(scheme)
     if todo:
-        fresh = _measure(engine.traces.get(workload), todo)
+        fresh = _measure(engine.traces.get(workload), todo, engine.machine,
+                         ctx.config.skew_replacement)
         for scheme, dist in fresh.items():
             results[scheme] = dist
             if engine.cache is not None:

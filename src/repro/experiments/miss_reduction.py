@@ -17,12 +17,12 @@ from typing import Dict, List, Mapping, Sequence
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -47,23 +47,23 @@ class MissFigure:
         return sum(self.normalized[a][scheme] for a in self.apps) / len(self.apps)
 
 
-def build_figure(title: str, apps: Sequence[str], store: ResultStore,
+def build_figure(title: str, apps: Sequence[str], engine: SimulationEngine,
                  schemes: Sequence[str] = MISS_SCHEMES) -> MissFigure:
     figure = MissFigure(title=title, apps=list(apps), schemes=list(schemes))
     for app in apps:
         figure.normalized[app] = {
-            scheme: store.miss_ratio(app, scheme) for scheme in schemes
+            scheme: engine.miss_ratio(app, scheme) for scheme in schemes
         }
     return figure
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), engine: SimulationEngine = None):
     """Both figures; returns (figure11, figure12)."""
-    store = store or ResultStore(config)
+    engine = engine or SimulationEngine(config)
     fig11 = build_figure("Figure 11: normalized L2 misses, non-uniform apps",
-                         NONUNIFORM_APPS, store)
+                         NONUNIFORM_APPS, engine)
     fig12 = build_figure("Figure 12: normalized L2 misses, uniform apps",
-                         UNIFORM_APPS, store)
+                         UNIFORM_APPS, engine)
     return fig11, fig12
 
 
@@ -107,7 +107,7 @@ def figure_from_payload(payload: Mapping) -> MissFigure:
 def _build(ctx: ExperimentContext) -> Dict:
     engine = ctx.engine
     engine.run_grid((*NONUNIFORM_APPS, *UNIFORM_APPS), MISS_SCHEMES)
-    fig11, fig12 = run(store=engine)
+    fig11, fig12 = run(engine=engine)
     return {"figures": [figure_payload(fig11), figure_payload(fig12)]}
 
 

@@ -14,12 +14,12 @@ from typing import Dict, Mapping
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -37,16 +37,16 @@ from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 MULTI_HASH_SCHEMES = ("base", "pmod", "skw", "skw+pdisp")
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), engine: SimulationEngine = None):
     """Both figures; returns (figure9, figure10)."""
-    store = store or ResultStore(config)
+    engine = engine or SimulationEngine(config)
     fig9 = build_figure(
         "Figure 9: multiple hashing, non-uniform applications",
-        NONUNIFORM_APPS, MULTI_HASH_SCHEMES, store,
+        NONUNIFORM_APPS, MULTI_HASH_SCHEMES, engine,
     )
     fig10 = build_figure(
         "Figure 10: multiple hashing, uniform applications",
-        UNIFORM_APPS, MULTI_HASH_SCHEMES, store,
+        UNIFORM_APPS, MULTI_HASH_SCHEMES, engine,
     )
     return fig9, fig10
 
@@ -63,7 +63,7 @@ def pathological_cases(figure: ExecutionTimeFigure, scheme: str,
 def _build(ctx: ExperimentContext) -> Dict:
     engine = ctx.engine
     engine.run_grid((*NONUNIFORM_APPS, *UNIFORM_APPS), MULTI_HASH_SCHEMES)
-    fig9, fig10 = run(store=engine)
+    fig9, fig10 = run(engine=engine)
     return {"figures": [figure_payload(fig9), figure_payload(fig10)]}
 
 

@@ -40,8 +40,6 @@ from repro.engine import (
     ExperimentSpec,
     SimulationKey,
     register,
-    render_artifact,
-    run_experiment,
 )
 from repro.hashing import balance_from_counts
 from repro.store import (
@@ -299,23 +297,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.reshard ...`` runs
+    ``python -m repro.experiments reshard ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every reshard contract "
-                             "check holds (the make reshard-check gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("reshard", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"reshard-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("reshard-check: ok")
+    cli(["reshard", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

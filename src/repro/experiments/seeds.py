@@ -8,8 +8,8 @@ each scheme's speedup.  The reproduction's claims should hold for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Sequence
 
 from repro.engine import (
     ExperimentContext,
@@ -19,12 +19,7 @@ from repro.engine import (
     render_artifact,
     run_experiment,
 )
-from repro.experiments.common import (
-    ResultStore,
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import context_from_args, standard_argparser
 from repro.reporting import format_table
 
 
@@ -58,24 +53,26 @@ def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
         schemes: Sequence[str] = ("pmod", "pdisp"),
         seeds: Sequence[int] = (0, 1, 2),
         scale: float = 0.3,
-        make_store: Optional[Callable[[RunConfig], ResultStore]] = None,
+        engine: SimulationEngine = None,
         ) -> List[SeedSpread]:
-    """``make_store`` builds the per-seed runner; the default is an
-    in-memory :class:`ResultStore`, and the registry adapter passes
-    cache-sharing engines instead."""
-    results = []
-    make_store = make_store or ResultStore
-    stores = {
-        seed: make_store(RunConfig(scale=scale, seed=seed))
-        for seed in seeds
-    }
-    for workload in workloads:
-        for scheme in schemes:
-            speedups = tuple(
-                stores[seed].speedup(workload, scheme) for seed in seeds
-            )
-            results.append(SeedSpread(workload, scheme, speedups))
-    return results
+    """One :class:`SimulationEngine` per seed, a copy of ``engine`` (the
+    default engine when none) at that seed and ``scale``: same machine,
+    skewed-cache replacement and cache directory.  Each simulates its
+    grid with one L1 pass per workload."""
+    engine = engine or SimulationEngine()
+    cache_dir = engine.cache.root.parent if engine.cache is not None else None
+    engines = {}
+    for seed in seeds:
+        engines[seed] = SimulationEngine(
+            replace(engine.config, scale=scale, seed=seed),
+            machine=engine.machine, cache_dir=cache_dir)
+        engines[seed].run_grid(workloads, ("base", *schemes))
+    return [
+        SeedSpread(workload, scheme, tuple(
+            engines[seed].speedup(workload, scheme) for seed in seeds))
+        for workload in workloads
+        for scheme in schemes
+    ]
 
 
 def render(results: List[SeedSpread]) -> str:
@@ -91,20 +88,12 @@ def render(results: List[SeedSpread]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    cache = ctx.engine.cache
-
-    def make_store(config: RunConfig) -> ResultStore:
-        if cache is None:
-            return ResultStore(config)
-        return SimulationEngine(config, machine=ctx.engine.machine,
-                                cache_dir=cache.root.parent)
-
     results = run(
         workloads=tuple(ctx.param("workloads", ("tree", "mcf", "lu"))),
         schemes=tuple(ctx.param("schemes", ("pmod", "pdisp"))),
         seeds=tuple(ctx.param("seeds", (0, 1, 2))),
         scale=ctx.config.scale,
-        make_store=make_store,
+        engine=ctx.engine,
     )
     return {
         "spreads": [

@@ -38,10 +38,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationKey,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.obs import enable_observability, get_collector
+from repro.obs import get_collector
 from repro.reporting import serve_latency_table, serve_tail_chart
 from repro.serve import (
     AdmissionConfig,
@@ -224,7 +222,11 @@ def _build(ctx: ExperimentContext) -> Dict:
     }
     schemes = list(ctx.param("schemes", DEFAULT_SCHEMES))
     cache = ctx.engine.cache
-    fingerprint = _serve_fingerprint(params)
+    traced = get_collector().enabled
+    # A traced cell carries an attribution block an untraced one lacks,
+    # so the two never share a cache entry.
+    fingerprint = _serve_fingerprint(
+        {**params, "traced": True} if traced else params)
 
     def cell_key(scheme: str) -> SimulationKey:
         return SimulationKey(
@@ -249,6 +251,13 @@ def _build(ctx: ExperimentContext) -> Dict:
             if cache is not None:
                 cache.put_payload(cell_key(scheme), payload)
         cells[scheme] = payload
+    checks = degradation_checks(cells, params["max_queue_depth"],
+                                stalled=params["stall_shard"] is not None)
+    if traced:
+        # Tracing on: the stage-coverage contract must have been
+        # measured for some scheme, not skipped for want of traces.
+        checks["stage_coverage_attributed"] = any(
+            name.endswith("_stage_coverage") for name in checks)
     return {
         "n_requests": n_requests,
         "pattern": params["pattern"],
@@ -259,9 +268,7 @@ def _build(ctx: ExperimentContext) -> Dict:
         "n_shards": params["n_shards"],
         "stall_shard": params["stall_shard"],
         "schemes": cells,
-        "checks": degradation_checks(cells, params["max_queue_depth"],
-                                     stalled=params["stall_shard"]
-                                     is not None),
+        "checks": checks,
     }
 
 
@@ -280,32 +287,11 @@ register(ExperimentSpec(
 
 
 def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
+    """``python -m repro.experiments.serving ...`` runs
+    ``python -m repro.experiments serving ...`` (``--check`` included)."""
+    from repro.experiments.__main__ import main as cli
 
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--trace", action="store_true",
-                        help="enable request tracing: sample stage "
-                             "timelines and publish the per-scheme "
-                             "critical-path decomposition")
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every serving contract "
-                             "check holds (the make trace-check gate)")
-    args = parser.parse_args()
-    if args.trace:
-        enable_observability()
-    artifact = run_experiment("serving", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if args.trace and not any(name.endswith("_stage_coverage")
-                                  for name in checks):
-            failing.append("stage_coverage_attribution_missing")
-        if failing:
-            print(f"serving-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("serving-check: ok")
+    cli(["serving", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

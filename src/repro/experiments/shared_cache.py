@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.cpu import simulate_scheme
+from repro.cpu import MachineConfig, simulate_schemes
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -56,32 +56,34 @@ class SharedCacheResult:
 def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         config: RunConfig = RunConfig(),
         schemes: Sequence[str] = DEFAULT_SCHEMES,
-        quantum: int = 2048) -> List[SharedCacheResult]:
+        quantum: int = 2048,
+        machine: MachineConfig = None) -> List[SharedCacheResult]:
+    """Combined vs solo L2 misses of every pair under every scheme, one
+    shared L1 pass per trace (``machine`` defaults to Table 3)."""
+
+    def misses(trace) -> Dict[str, int]:
+        results = simulate_schemes(trace, schemes, machine,
+                                   config.skew_replacement)
+        return {scheme: r.l2_misses for scheme, r in results.items()}
+
     results = []
-    solo_cache: Dict[Tuple[str, str], int] = {}
+    solo: Dict[str, Dict[str, int]] = {}
     for first_name, second_name in pairs:
         first = get_workload(first_name).trace(scale=config.scale,
                                                seed=config.seed)
         second = get_workload(second_name).trace(scale=config.scale,
                                                  seed=config.seed + 1)
-        combined = interleave_traces(first, second, quantum=quantum)
+        for name, trace in ((first_name, first), (second_name, second)):
+            if name not in solo:
+                solo[name] = misses(trace)
+        combined = misses(interleave_traces(first, second, quantum=quantum))
         for scheme in schemes:
-            for name, trace in ((first_name, first), (second_name, second)):
-                key = (name, scheme)
-                if key not in solo_cache:
-                    solo_cache[key] = simulate_scheme(
-                        trace, scheme,
-                        skew_replacement=config.skew_replacement,
-                    ).l2_misses
-            combined_misses = simulate_scheme(
-                combined, scheme, skew_replacement=config.skew_replacement
-            ).l2_misses
             results.append(SharedCacheResult(
                 pair=(first_name, second_name),
                 scheme=scheme,
-                combined_misses=combined_misses,
-                solo_misses_sum=(solo_cache[(first_name, scheme)]
-                                 + solo_cache[(second_name, scheme)]),
+                combined_misses=combined[scheme],
+                solo_misses_sum=(solo[first_name][scheme]
+                                 + solo[second_name][scheme]),
             ))
     return results
 
@@ -105,6 +107,7 @@ def _build(ctx: ExperimentContext) -> Dict:
         config=ctx.config,
         schemes=tuple(ctx.param("schemes", DEFAULT_SCHEMES)),
         quantum=int(ctx.param("quantum", 2048)),
+        machine=ctx.engine.machine,
     )
     return {"results": [asdict(r) for r in results]}
 

@@ -15,12 +15,12 @@ from repro.cpu import NormalizedTime
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -53,29 +53,29 @@ class ExecutionTimeFigure:
 
 
 def build_figure(title: str, apps: Sequence[str], schemes: Sequence[str],
-                 store: ResultStore) -> ExecutionTimeFigure:
+                 engine: SimulationEngine) -> ExecutionTimeFigure:
     """Simulate every (app, scheme) pair and normalize to Base."""
     figure = ExecutionTimeFigure(title=title, apps=list(apps),
                                  schemes=list(schemes))
     for app in apps:
-        base = store.result(app, "base")
+        base = engine.result(app, "base")
         figure.bars[app] = {
-            scheme: store.result(app, scheme).normalized_to(base)
+            scheme: engine.result(app, scheme).normalized_to(base)
             for scheme in schemes
         }
     return figure
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), engine: SimulationEngine = None):
     """Both figures; returns (figure7, figure8)."""
-    store = store or ResultStore(config)
+    engine = engine or SimulationEngine(config)
     fig7 = build_figure(
         "Figure 7: single hashing, non-uniform applications",
-        NONUNIFORM_APPS, SINGLE_HASH_SCHEMES, store,
+        NONUNIFORM_APPS, SINGLE_HASH_SCHEMES, engine,
     )
     fig8 = build_figure(
         "Figure 8: single hashing, uniform applications",
-        UNIFORM_APPS, SINGLE_HASH_SCHEMES, store,
+        UNIFORM_APPS, SINGLE_HASH_SCHEMES, engine,
     )
     return fig7, fig8
 
@@ -136,7 +136,7 @@ def figure_from_payload(payload: Mapping) -> ExecutionTimeFigure:
 def _build(ctx: ExperimentContext) -> Dict:
     engine = ctx.engine
     engine.run_grid((*NONUNIFORM_APPS, *UNIFORM_APPS), SINGLE_HASH_SCHEMES)
-    fig7, fig8 = run(store=engine)
+    fig7, fig8 = run(engine=engine)
     return {"figures": [figure_payload(fig7), figure_payload(fig8)]}
 
 

@@ -13,12 +13,12 @@ from typing import Dict, List, Mapping, Sequence
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -48,12 +48,12 @@ class SchemeSummary:
     pathological_apps: tuple
 
 
-def summarize_scheme(scheme: str, store: ResultStore) -> SchemeSummary:
-    uniform = [store.speedup(app, scheme) for app in UNIFORM_APPS]
-    nonuniform = [store.speedup(app, scheme) for app in NONUNIFORM_APPS]
+def summarize_scheme(scheme: str, engine: SimulationEngine) -> SchemeSummary:
+    uniform = [engine.speedup(app, scheme) for app in UNIFORM_APPS]
+    nonuniform = [engine.speedup(app, scheme) for app in NONUNIFORM_APPS]
     slow = tuple(
         app for app in (*UNIFORM_APPS, *NONUNIFORM_APPS)
-        if store.speedup(app, scheme) < 1.0 - PATHOLOGICAL_THRESHOLD
+        if engine.speedup(app, scheme) < 1.0 - PATHOLOGICAL_THRESHOLD
     )
     return SchemeSummary(
         scheme=scheme,
@@ -68,10 +68,10 @@ def summarize_scheme(scheme: str, store: ResultStore) -> SchemeSummary:
     )
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None,
+def run(config: RunConfig = RunConfig(), engine: SimulationEngine = None,
         schemes: Sequence[str] = SUMMARY_SCHEMES) -> List[SchemeSummary]:
-    store = store or ResultStore(config)
-    return [summarize_scheme(scheme, store) for scheme in schemes]
+    engine = engine or SimulationEngine(config)
+    return [summarize_scheme(scheme, engine) for scheme in schemes]
 
 
 def render(summaries: List[SchemeSummary]) -> str:
@@ -101,7 +101,7 @@ def _build(ctx: ExperimentContext) -> Dict:
     schemes = tuple(ctx.param("schemes", SUMMARY_SCHEMES))
     engine.run_grid((*UNIFORM_APPS, *NONUNIFORM_APPS),
                     ("base", *schemes))
-    summaries = run(store=engine, schemes=schemes)
+    summaries = run(engine=engine, schemes=schemes)
     return {"schemes": [asdict(s) for s in summaries]}
 
 

@@ -6,9 +6,9 @@ access behavior if the ratio stdev(f_i)/mean(f_i) is greater than 0.5.
 ... we found that 30% of them (7 benchmarks) are non-uniform: bt, cg,
 ft, irr, mcf, sp, and tree."
 
-This experiment drives every workload through the Base hierarchy,
-measures that ratio on the L2 set-access histogram, and reports the
-classification next to the paper's.
+This experiment runs every workload's L1 request stream into the Base
+L2, measures that ratio on the L2 set-access histogram, and reports
+the classification next to the paper's.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.cpu import build_hierarchy
+from repro.cpu import MachineConfig, build_l2
+from repro.cpu.simulator import l2_request_stream, l2_set_counters
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -50,12 +51,14 @@ class UniformityRow:
 
 
 def run(config: RunConfig = RunConfig(),
-        traces: Optional[TraceMaterializer] = None) -> List[UniformityRow]:
+        traces: Optional[TraceMaterializer] = None,
+        machine: MachineConfig = None) -> List[UniformityRow]:
     """Classify all 23 applications under Base indexing.
 
     ``traces`` shares an engine's materialized workload traces instead
-    of regenerating them here.
+    of regenerating them here; ``machine`` defaults to Table 3.
     """
+    machine = machine or MachineConfig.paper_default()
     rows = []
     for name in all_workload_names():
         workload = get_workload(name)
@@ -63,10 +66,11 @@ def run(config: RunConfig = RunConfig(),
             trace = traces.get(name)
         else:
             trace = workload.trace(scale=config.scale, seed=config.seed)
-        hierarchy = build_hierarchy("base")
-        for address, is_write in zip(trace.addresses, trace.is_write):
-            hierarchy.access(int(address), bool(is_write))
-        report = uniformity(hierarchy.l2.stats.set_accesses)
+        set_accesses, _ = l2_set_counters(
+            build_l2("base", machine, config.skew_replacement),
+            l2_request_stream(trace, machine),
+        )
+        report = uniformity(set_accesses)
         rows.append(UniformityRow(
             app=name,
             ratio=report.ratio,
@@ -99,7 +103,8 @@ def render(rows: List[UniformityRow]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    rows = run(ctx.config, traces=ctx.engine.traces)
+    rows = run(ctx.config, traces=ctx.engine.traces,
+               machine=ctx.engine.machine)
     return {"rows": [asdict(row) for row in rows]}
 
 

@@ -1,8 +1,7 @@
 """One-shot markdown report over a complete evaluation.
 
 ``full_report`` renders every simulation-backed table and figure from a
-:class:`~repro.engine.SimulationEngine` (or any ResultStore-compatible
-runner) into a single markdown document — the machine-generated
+:class:`~repro.engine.SimulationEngine` into a single markdown document — the machine-generated
 counterpart of EXPERIMENTS.md:
 
     python -m repro.reporting.report --scale 0.5 --jobs 4 \
@@ -22,12 +21,8 @@ from repro.experiments import (
     single_hash,
     summary,
 )
-from repro.experiments.common import (
-    ResultStore,
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import SimulationEngine
+from repro.experiments.common import context_from_args, standard_argparser
 from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 
 
@@ -35,9 +30,9 @@ def _code_block(text: str) -> str:
     return "```\n" + text + "\n```"
 
 
-def full_report(store: ResultStore) -> str:
+def full_report(engine: SimulationEngine) -> str:
     """Markdown report of Tables 1-4 and the Figure 7-12 summaries."""
-    config = store.config
+    config = engine.config
     sections: List[str] = [
         "# Prime-number cache indexing — evaluation report",
         f"Trace scale {config.scale}, seed {config.seed}, "
@@ -52,30 +47,30 @@ def full_report(store: ResultStore) -> str:
 
     fig7 = single_hash.build_figure(
         "Figure 7 (non-uniform apps)", NONUNIFORM_APPS,
-        single_hash.SINGLE_HASH_SCHEMES, store)
+        single_hash.SINGLE_HASH_SCHEMES, engine)
     fig8 = single_hash.build_figure(
         "Figure 8 (uniform apps)", UNIFORM_APPS,
-        single_hash.SINGLE_HASH_SCHEMES, store)
+        single_hash.SINGLE_HASH_SCHEMES, engine)
     fig9 = single_hash.build_figure(
         "Figure 9 (non-uniform apps)", NONUNIFORM_APPS,
-        multi_hash.MULTI_HASH_SCHEMES, store)
+        multi_hash.MULTI_HASH_SCHEMES, engine)
     fig10 = single_hash.build_figure(
         "Figure 10 (uniform apps)", UNIFORM_APPS,
-        multi_hash.MULTI_HASH_SCHEMES, store)
+        multi_hash.MULTI_HASH_SCHEMES, engine)
     for figure in (fig7, fig8, fig9, fig10):
         sections.append(f"## {figure.title}")
         sections.append(_code_block(single_hash.render(figure)))
 
     fig11 = miss_reduction.build_figure(
-        "Figure 11 (non-uniform apps)", NONUNIFORM_APPS, store)
+        "Figure 11 (non-uniform apps)", NONUNIFORM_APPS, engine)
     fig12 = miss_reduction.build_figure(
-        "Figure 12 (uniform apps)", UNIFORM_APPS, store)
+        "Figure 12 (uniform apps)", UNIFORM_APPS, engine)
     for figure in (fig11, fig12):
         sections.append(f"## {figure.title}")
         sections.append(_code_block(miss_reduction.render(figure)))
 
     sections.append("## Table 4 — summary")
-    sections.append(_code_block(summary.render(summary.run(config, store))))
+    sections.append(_code_block(summary.render(summary.run(config, engine))))
     return "\n\n".join(sections) + "\n"
 
 

@@ -1,20 +1,29 @@
 """simulate_schemes (one shared L1 pass, L2s resolved per request)
-against the per-access hierarchy oracle, simulate_scheme_reference."""
+against the per-access hierarchy oracle, simulate_scheme_reference; and
+the experiments built on the same pipeline against per-access runs."""
 
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu import (
     SCHEMES,
     MachineConfig,
+    Simulator,
     build_hierarchy,
+    build_l1,
+    build_l2,
     simulate_scheme,
     simulate_scheme_reference,
     simulate_schemes,
 )
-from repro.cpu.simulator import l2_request_stream
+from repro.cpu.simulator import l2_request_stream, l2_set_counters
+from repro.engine import RunConfig
+from repro.experiments import design_space, l1_hashing
+from repro.hashing import make_indexing
+from repro.memory import DramModel
 from repro.trace import Trace, TraceMetadata
 from repro.workloads import all_workload_names, get_workload
 
@@ -148,3 +157,103 @@ class TestInterface:
         empty = Trace("empty", np.zeros(0, dtype=np.uint64),
                       np.zeros(0, dtype=bool))
         assert_matches_reference(empty)
+
+
+def hierarchy_after(trace, hierarchy):
+    """``hierarchy`` after the per-access run over ``trace``."""
+    for address, is_write in zip(trace.addresses, trace.is_write):
+        hierarchy.access(int(address), bool(is_write))
+    return hierarchy
+
+
+class TestSetCounters:
+    """l2_set_counters behind one L1 pass equals the per-set stats of
+    the per-access hierarchy."""
+
+    @pytest.mark.parametrize("workload", ["tree", "lu", "mcf", "swim", "bt"])
+    def test_every_scheme_matches_hierarchy_stats(self, workload):
+        trace = workload_trace(workload)
+        stream = l2_request_stream(trace)
+        for scheme in SCHEMES:
+            accesses, misses = l2_set_counters(build_l2(scheme), stream)
+            stats = hierarchy_after(trace, build_hierarchy(scheme)).l2.stats
+            assert accesses.tolist() == stats.set_accesses.tolist(), scheme
+            assert misses.tolist() == stats.set_misses.tolist(), scheme
+
+    def test_non_default_machine(self):
+        trace = workload_trace("tree")
+        stream = l2_request_stream(trace, SMALL)
+        for scheme in ("base", "pmod", "skw+pdisp", "fa"):
+            accesses, misses = l2_set_counters(build_l2(scheme, SMALL), stream)
+            stats = hierarchy_after(trace,
+                                    build_hierarchy(scheme, SMALL)).l2.stats
+            assert accesses.tolist() == stats.set_accesses.tolist(), scheme
+            assert misses.tolist() == stats.set_misses.tolist(), scheme
+
+
+class TestL1Misses:
+    """l1_hashing's miss counts (one fastsim call per L1 indexing) equal
+    the L1 stats of a per-access hierarchy with that L1."""
+
+    @pytest.mark.parametrize("workload", ["swim", "lu", "tree"])
+    def test_matches_hierarchy_l1(self, workload):
+        machine = MachineConfig.paper_default()
+        keys = ("traditional", "xor", "pmod")
+        fast = l1_hashing.l1_miss_comparison(
+            RunConfig(scale=SCALE), apps=(workload,), l1_keys=keys)[workload]
+        trace = workload_trace(workload)
+        for key in keys:
+            l1 = SetAssociativeCache(machine.l1_sets, machine.l1_assoc,
+                                     make_indexing(key, machine.l1_sets))
+            hierarchy = CacheHierarchy(l1, build_l2("base"),
+                                       machine.l1_block_bytes,
+                                       machine.l2_block_bytes)
+            assert fast[key] == hierarchy_after(
+                trace, hierarchy).l1.stats.misses, key
+
+
+class TestDesignSpace:
+    """design_space points equal Simulator over a hand-built hierarchy:
+    the traditional L1 over an L2 of the given indexing and ways at
+    constant capacity."""
+
+    @staticmethod
+    def reference(trace, key, assoc, machine):
+        n_sets = machine.l2_blocks // assoc
+        hierarchy = CacheHierarchy(
+            build_l1(machine),
+            SetAssociativeCache(n_sets, assoc, make_indexing(key, n_sets)),
+            machine.l1_block_bytes, machine.l2_block_bytes)
+        return Simulator(hierarchy, DramModel(machine.dram_config()),
+                         machine).run(trace)
+
+    @pytest.mark.parametrize("machine", [
+        MachineConfig.paper_default(), SMALL], ids=["paper", "small"])
+    def test_points_match_simulator(self, machine):
+        for workload in ("tree", "mcf"):
+            trace = workload_trace(workload)
+            points = design_space.run(workload, RunConfig(scale=SCALE),
+                                      associativities=(1, 2, 4, 8),
+                                      machine=machine)
+            assert len(points) == 16
+            for point in points:
+                expected = self.reference(trace, point.indexing, point.assoc,
+                                          machine)
+                assert point.l2_misses == expected.l2_misses, point
+                assert point.cycles == expected.cycles, point
+
+    def test_any_registered_indexing(self):
+        """Keys outside the paper's four (make_indexing's whole registry)
+        are swept too."""
+        machine = MachineConfig.paper_default()
+        trace = workload_trace("tree")
+        keys = ("gf2", "xorfold", "multiplicative")
+        points = design_space.run("tree", RunConfig(scale=SCALE),
+                                  indexings=keys, associativities=(2, 4))
+        assert [(p.indexing, p.assoc) for p in points] == [
+            (key, assoc) for key in keys for assoc in (2, 4)]
+        for point in points:
+            expected = self.reference(trace, point.indexing, point.assoc,
+                                      machine)
+            assert point.l2_misses == expected.l2_misses, point
+            assert point.cycles == expected.cycles, point

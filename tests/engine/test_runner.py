@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cpu import simulate_scheme_reference
 from repro.engine import RunConfig, SimulationEngine
-from repro.experiments.common import ResultStore
+from repro.workloads import get_workload
 
 CONFIG = RunConfig(scale=0.05)
 
@@ -11,8 +12,10 @@ CONFIG = RunConfig(scale=0.05)
 class TestSingleCell:
     def test_matches_result_store(self):
         engine = SimulationEngine(CONFIG)
-        store = ResultStore(CONFIG)
-        assert engine.result("tree", "pmod") == store.result("tree", "pmod")
+        trace = get_workload("tree").trace(scale=CONFIG.scale,
+                                           seed=CONFIG.seed)
+        assert engine.result("tree", "pmod") == simulate_scheme_reference(
+            trace, "pmod")
 
     def test_memoizes_in_memory(self):
         engine = SimulationEngine(CONFIG)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.engine import all_experiment_names, validate_artifact
-from repro.experiments.__main__ import main, parse_params
+import repro.experiments.__main__ as cli
+from repro.experiments.__main__ import failed_checks, main, parse_params
 
 
 class TestParseParams:
@@ -50,3 +51,52 @@ class TestMain:
         artifact = json.loads(path.read_text())
         assert len(artifact["data"]["rows"]) == 2
         assert artifact["config"]["params"] == {"set_counts": [256, 512]}
+
+
+class TestCheck:
+    """``--check``: exit 1 naming every false entry of the artifact's
+    ``data["checks"]``, or when there is no checks block."""
+
+    @pytest.fixture
+    def with_checks(self, monkeypatch):
+        """Make the next CLI run's artifact carry ``checks``."""
+        real = cli.run_experiment
+
+        def install(checks):
+            def run_experiment(name, context):
+                artifact = real(name, context)
+                artifact["data"]["checks"] = checks
+                return artifact
+            monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        return install
+
+    def test_failed_checks(self):
+        artifact = {"data": {"checks": {"a": True, "b": False, "c": False}}}
+        assert failed_checks(artifact) == ["b", "c"]
+        assert failed_checks({"data": {}}) == ["checks block missing"]
+        assert failed_checks({"data": {"checks": {}}}) == [
+            "checks block missing"]
+
+    def test_all_checks_hold(self, with_checks, capsys):
+        with_checks({"a": True, "b": True})
+        main(["fragmentation", "--check"])
+        assert "fragmentation-check: ok" in capsys.readouterr().out
+
+    def test_false_checks_named(self, with_checks, capsys):
+        with_checks({"a": True, "b": False, "c": False})
+        with pytest.raises(SystemExit) as exc:
+            main(["fragmentation", "--check"])
+        assert exc.value.code == 1
+        assert ("fragmentation-check: FAILED (b, c)"
+                in capsys.readouterr().err)
+
+    def test_missing_checks_block_fails(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fragmentation", "--check"])
+        assert exc.value.code == 1
+        assert "checks block missing" in capsys.readouterr().err
+
+    def test_without_check_flag_never_exits(self, with_checks, capsys):
+        with_checks({"a": False})
+        main(["fragmentation"])
+        assert "Table 1" in capsys.readouterr().out

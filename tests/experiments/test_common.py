@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.common import ResultStore, RunConfig
+from repro.engine import SimulationEngine
+from repro.experiments.common import RunConfig
 
 
 class TestRunConfig:
@@ -13,9 +14,12 @@ class TestRunConfig:
 
 
 class TestResultStore:
+    """The result / speedup / miss_ratio surface the figure builders
+    read from the engine."""
+
     @pytest.fixture
     def store(self):
-        return ResultStore(RunConfig(scale=0.05))
+        return SimulationEngine(RunConfig(scale=0.05))
 
     def test_caches_results(self, store):
         first = store.result("lu", "base")

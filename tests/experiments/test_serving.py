@@ -7,7 +7,7 @@ import pytest
 from repro.engine import all_experiment_names, validate_artifact
 from repro.experiments import serving
 from repro.experiments.__main__ import main
-from repro.obs import validate_snapshot
+from repro.obs import disable_observability, validate_snapshot
 
 FAST = ["--param", "requests=600", "--param", "rate_rps=20000",
         "--param", "admit_rate=10000"]
@@ -131,3 +131,24 @@ class TestCli:
               "--cache-dir", str(cache), *args])
         assert (json.loads(a.read_text())["data"]
                 == json.loads(b.read_text())["data"])
+
+    def test_traced_run_never_reads_untraced_cells(self, tmp_path, capsys):
+        """An observed run re-measures rather than reuse cells cached
+        without traces, so its stage-coverage contract is measured."""
+        cache = tmp_path / "cache"
+        args = [*FAST, "--param", "schemes=[\"pmod\"]",
+                "--cache-dir", str(cache)]
+        disable_observability()  # an earlier CLI run may have left it on
+        main(["serving", *args])
+        path = tmp_path / "traced.json"
+        try:
+            main(["serving", *args, "--metrics-out",
+                  str(tmp_path / "metrics.json"), "--artifact", str(path),
+                  "--check"])
+        finally:
+            disable_observability()
+        capsys.readouterr()
+        checks = json.loads(path.read_text())["data"]["checks"]
+        assert checks["stage_coverage_attributed"]
+        assert checks["pmod_stage_coverage"]
+        assert len(list(cache.glob("*/*.payload.json"))) == 2

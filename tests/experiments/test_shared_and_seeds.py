@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.cpu import MachineConfig, simulate_scheme_reference
+from repro.engine import SimulationEngine
 from repro.experiments import seeds, shared_cache
 from repro.experiments.common import RunConfig
+from repro.trace.multiprogram import interleave_traces
+from repro.workloads import get_workload
+
+#: A non-default machine: experiments must simulate it, not Table 3.
+SMALL = MachineConfig(l1_bytes=4 * 1024, l2_bytes=32 * 1024)
 
 
 class TestSharedCache:
@@ -26,6 +33,20 @@ class TestSharedCache:
     def test_render(self, results):
         out = shared_cache.render(list(results.values()))
         assert "tree+swim" in out
+
+    def test_runs_on_the_given_machine(self):
+        config = RunConfig(scale=0.02)
+        rows = shared_cache.run(pairs=(("tree", "lu"),), config=config,
+                                schemes=("base", "skw"), machine=SMALL)
+        first = get_workload("tree").trace(scale=0.02, seed=0)
+        second = get_workload("lu").trace(scale=0.02, seed=1)
+        combined = interleave_traces(first, second, quantum=2048)
+        for row in rows:
+            def misses(trace):
+                return simulate_scheme_reference(trace, row.scheme,
+                                                 SMALL).l2_misses
+            assert row.combined_misses == misses(combined), row.scheme
+            assert row.solo_misses_sum == misses(first) + misses(second)
 
 
 class TestSeedRobustness:
@@ -50,3 +71,13 @@ class TestSeedRobustness:
     def test_render(self, spreads):
         out = seeds.render(list(spreads.values()))
         assert "spread" in out
+
+    def test_runs_on_the_given_machine(self):
+        [spread] = seeds.run(workloads=("mcf",), schemes=("pmod",),
+                             seeds=(0, 1), scale=0.02,
+                             engine=SimulationEngine(machine=SMALL))
+        for seed, speedup in zip((0, 1), spread.speedups):
+            trace = get_workload("mcf").trace(scale=0.02, seed=seed)
+            base, pmod = (simulate_scheme_reference(trace, scheme, SMALL)
+                          for scheme in ("base", "pmod"))
+            assert speedup == pmod.speedup_over(base), seed

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.cpu import simulate_scheme
+from repro.cpu import build_l2, simulate_scheme
+from repro.cpu.simulator import l2_request_stream, l2_set_counters
 from repro.workloads import get_workload
 from repro.workloads.patterns import (
     L2_BLOCK,
@@ -14,29 +15,25 @@ from repro.workloads.patterns import (
 SCALE = 0.25
 
 
+def tree_set_misses(scheme):
+    """Per-set L2 misses of ``scheme`` behind the L1, over tree."""
+    trace = get_workload("tree").trace(scale=SCALE, seed=0)
+    return l2_set_counters(build_l2(scheme), l2_request_stream(trace))[1]
+
+
 class TestTree:
     def test_misses_concentrated_under_base(self):
         """Figure 13a: the vast majority of tree's misses land in a
         small fraction of the traditional sets."""
-        from repro.cpu import build_hierarchy
-        trace = get_workload("tree").trace(scale=SCALE, seed=0)
-        h = build_hierarchy("base")
-        for a, w in zip(trace.addresses, trace.is_write):
-            h.access(int(a), bool(w))
-        misses = np.sort(h.l2.stats.set_misses)[::-1]
+        misses = np.sort(tree_set_misses("base"))[::-1]
         top_tenth = misses[: L2_SETS // 10].sum()
         assert top_tenth / misses.sum() > 0.5
 
     def test_pmod_flattens_the_distribution(self):
         """Figure 13b: under pMod the per-set miss spread collapses."""
-        from repro.cpu import build_hierarchy
-        trace = get_workload("tree").trace(scale=SCALE, seed=0)
-        base, pmod = build_hierarchy("base"), build_hierarchy("pmod")
-        for a, w in zip(trace.addresses, trace.is_write):
-            base.access(int(a), bool(w))
-            pmod.access(int(a), bool(w))
-        cv_base = base.l2.stats.set_misses.std() / base.l2.stats.set_misses.mean()
-        cv_pmod = pmod.l2.stats.set_misses.std() / pmod.l2.stats.set_misses.mean()
+        base, pmod = tree_set_misses("base"), tree_set_misses("pmod")
+        cv_base = base.std() / base.mean()
+        cv_pmod = pmod.std() / pmod.mean()
         assert cv_pmod < cv_base / 3
 
     def test_large_pmod_speedup(self):

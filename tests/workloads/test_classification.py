@@ -1,6 +1,7 @@
 """End-to-end validation of the paper's Section 4 classification.
 
-Runs every workload through the Base (traditional) hierarchy and checks
+Runs every workload's L1 request stream into the Base (traditional) L2
+and checks
 that the stdev/mean > 0.5 uniformity criterion reproduces the paper's
 7/16 split exactly.  This is the load-bearing property of the workload
 substitution (DESIGN.md §4), so it is tested directly despite the cost.
@@ -8,7 +9,8 @@ substitution (DESIGN.md §4), so it is tested directly despite the cost.
 
 import pytest
 
-from repro.cpu import build_hierarchy
+from repro.cpu import build_l2
+from repro.cpu.simulator import l2_request_stream, l2_set_counters
 from repro.hashing import uniformity
 from repro.workloads import all_workload_names, get_workload
 
@@ -18,10 +20,9 @@ SCALE = 0.35
 def classify(name: str) -> float:
     workload = get_workload(name)
     trace = workload.trace(scale=SCALE, seed=0)
-    hierarchy = build_hierarchy("base")
-    for address, is_write in zip(trace.addresses, trace.is_write):
-        hierarchy.access(int(address), bool(is_write))
-    return uniformity(hierarchy.l2.stats.set_accesses)
+    set_accesses, _ = l2_set_counters(build_l2("base"),
+                                      l2_request_stream(trace))
+    return uniformity(set_accesses)
 
 
 @pytest.mark.parametrize("name", sorted(all_workload_names()))
