@@ -24,7 +24,9 @@ log (JSONL, ``docs/observability.md``) — experiment start/finish plus
 whatever lifecycle events the engine/store/serve layers emit; and
 ``--dash PATH`` renders the post-run health dashboard (metrics + SLO
 burn rates + drift + journal tail + bench trajectory) as one
-self-contained HTML file.
+self-contained HTML file.  The run then puts the registry, trace
+collector and journal back as it found them, so an in-process caller
+inherits none of them.
 
 ``--check`` makes the run a gate: after everything else is written it
 exits 1, naming every false entry of the artifact's ``data["checks"]``
@@ -48,9 +50,10 @@ from repro.experiments.common import context_from_args, standard_argparser
 from repro.obs import (
     enable_journal,
     enable_observability,
+    get_collector,
     get_journal,
     get_registry,
-    get_tracer,
+    set_journal,
     trace_span,
     write_snapshot,
 )
@@ -124,10 +127,21 @@ def main(argv: Optional[List[str]] = None) -> None:
         raise SystemExit(f"error: {exc.args[0]}") from None
     observed = bool(args.metrics_out or args.trace or args.journal
                     or args.dash)
+    registry, collector = get_registry(), get_collector()
+    prior = registry.enabled, collector.enabled, get_journal()
     if observed:
         enable_observability()
     if args.journal:
         enable_journal(args.journal)
+    try:
+        run(args)
+    finally:
+        registry.enabled, collector.enabled, prior_journal = prior
+        set_journal(prior_journal)
+
+
+def run(args) -> None:
+    """One parsed CLI run on the process-wide observability state."""
     journal = get_journal()
     context = context_from_args(args, **parse_params(args.param))
     journal.emit("experiment.start", experiment=args.experiment,
@@ -149,13 +163,14 @@ def main(argv: Optional[List[str]] = None) -> None:
                 json.dump(artifact, stream, indent=1)
         print(render_artifact(artifact))
     if args.metrics_out:
-        path = write_snapshot(args.metrics_out, get_registry(), get_tracer())
+        path = write_snapshot(args.metrics_out, get_registry(),
+                              get_collector())
         print(f"metrics snapshot written to {path}", file=sys.stderr)
     if args.trace:
         # keep stdout parseable when the artifact JSON went to '-'
         stream = sys.stderr if args.artifact == "-" else sys.stdout
         print(file=stream)
-        print(get_tracer().render(), file=stream)
+        print(get_collector().render(), file=stream)
     if args.dash:
         from repro.obs.dash import build_dashboard, write_dashboard
         from repro.obs.health import (
@@ -170,7 +185,8 @@ def main(argv: Optional[List[str]] = None) -> None:
                                        journal=journal)
         drift = detector.evaluate()
         model = build_dashboard(
-            registry=get_registry(), tracer=get_tracer(), journal=journal,
+            registry=get_registry(), collector=get_collector(),
+            journal=journal,
             slo_statuses=statuses, alerts=engine.active_alerts(),
             drift_statuses=drift, bench_root=".")
         path = write_dashboard(args.dash, model)

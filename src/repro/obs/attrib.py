@@ -27,9 +27,29 @@ Four consumers sit on top:
   routed keys, per shard/node, feeding ``HashQualityDetector`` so a
   concentration-drift alarm names the offending keys.
 
+The same collector is the process-wide span tracer:
+:func:`trace_span` times one synchronous region (``materialize``,
+``simulate``, ``replay``, ``serve.batch`` ...).  Spans nest through one
+:mod:`contextvars` variable holding the innermost open span, so each
+thread and each asyncio task sees only its own parents; work handed to
+an executor nests under the caller's span when it runs in a copy of
+the caller's context (``contextvars.copy_context().run``).  Finished
+span roots sit beside the retained request traces and never enter the
+critical-path analyzer or the flight recorder.  Two export shapes
+cover both:
+
+* :meth:`TraceCollector.flat` — one JSON-friendly dict per span with
+  ``depth``/``parent`` indices (the ``spans`` block of the snapshot
+  schema in ``docs/observability.md``); each retained request trace
+  appears as a ``trace.<op>`` root with one ``stage.<name>`` child per
+  stage;
+* :meth:`TraceCollector.render` — the same rows as an indented tree
+  with wall times (the ``--trace`` output).
+
 Everything is off by default: the process-wide :class:`TraceCollector`
 starts disabled (``begin`` returns ``None`` and every call site guards
-on that), so the untraced path costs one attribute check.
+on that, and :func:`trace_span` returns one shared no-op context
+manager), so the untraced path costs one attribute check.
 """
 
 from __future__ import annotations
@@ -52,10 +72,9 @@ __all__ = [
     "Trace",
     "TraceCollector",
     "TraceContext",
-    "activate",
-    "current_trace",
     "get_collector",
     "set_collector",
+    "trace_span",
 ]
 
 _TRACE_SEQ = itertools.count(1)
@@ -137,15 +156,10 @@ class TraceContext:
     :meth:`finish` snapshots the stage list exactly once — a late
     append from an abandoned (timed-out) work item lands after the
     snapshot and is dropped rather than double-counted.
-
-    ``span_stack`` is the per-*context* open-span stack that
-    :class:`repro.obs.spans.SpanTracer` parents on while this context
-    is active, which is what keeps parentage correct when two asyncio
-    tasks interleave on one thread.
     """
 
     __slots__ = ("trace_id", "op", "scheme", "baggage", "start_s",
-                 "span_stack", "marks", "_stages", "_lock", "_done")
+                 "marks", "_stages", "_lock", "_done")
 
     def __init__(self, op: str, scheme: str = "",
                  trace_id: Optional[str] = None,
@@ -155,7 +169,6 @@ class TraceContext:
         self.scheme = scheme
         self.baggage = dict(baggage)
         self.start_s = perf_counter()
-        self.span_stack: List[Any] = []
         self.marks: Dict[str, float] = {}
         self._stages: List[Stage] = []
         self._lock = threading.Lock()
@@ -203,39 +216,64 @@ class TraceContext:
 
 
 # ---------------------------------------------------------------------------
-# Context propagation
+# Spans
 # ---------------------------------------------------------------------------
 
-_ACTIVE: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_obs_active_trace", default=None)
+#: The innermost open span of the current thread / asyncio task.
+_OPEN_SPAN: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_obs_open_span", default=None)
 
 
-def current_trace() -> Optional[TraceContext]:
-    """The TraceContext active in this task/thread, if any."""
-    return _ACTIVE.get()
+class _NullSpan:
+    """Shared no-op context manager for a disabled collector."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> bool:
+        return False
 
 
-class activate:
-    """Make ``ctx`` the active trace for the current execution flow.
+_NULL_SPAN = _NullSpan()
 
-    ``contextvars`` gives each asyncio task its own value, so two
-    tasks interleaving on one thread (or a work item executing on a
-    batcher worker) each see their own context — the fix for the old
-    per-thread span-stack mis-parenting.
-    """
 
-    __slots__ = ("_ctx", "_token")
+class _Span:
+    """One timed region, and the context manager that opens it: on
+    enter it becomes a child of the innermost open span (or a new root
+    of its collector) and the innermost open span itself; on exit the
+    previous one is restored."""
 
-    def __init__(self, ctx: Optional[TraceContext]):
-        self._ctx = ctx
-        self._token = None
+    __slots__ = ("name", "labels", "start_s", "duration_s", "thread",
+                 "children", "_collector", "_token")
 
-    def __enter__(self) -> Optional[TraceContext]:
-        self._token = _ACTIVE.set(self._ctx)
-        return self._ctx
+    def __init__(self, collector: "TraceCollector", name: str,
+                 labels: Dict[str, Any]):
+        self._collector = collector
+        self.name = name
+        self.labels = labels
+        self.duration_s: Optional[float] = None  # None while open
+        self.children: List["_Span"] = []
 
-    def __exit__(self, *exc) -> None:
-        _ACTIVE.reset(self._token)
+    def __enter__(self) -> "_Span":
+        collector = self._collector
+        self.start_s = perf_counter() - collector.epoch
+        self.thread = threading.current_thread().name
+        parent = _OPEN_SPAN.get()
+        if parent is None:
+            with collector._lock:
+                collector._roots.append(self)
+        else:
+            parent.children.append(self)
+        self._token = _OPEN_SPAN.set(self)
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.duration_s = (perf_counter() - self._collector.epoch
+                           - self.start_s)
+        _OPEN_SPAN.reset(self._token)
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +511,32 @@ class HeavyHitterTracker:
 # ---------------------------------------------------------------------------
 
 class TraceCollector:
-    """Process-wide sink for sampled traces, mirroring the registry /
-    tracer / journal global pattern: disabled by default, one shared
+    """Process-wide sink for sampled traces and spans, mirroring the
+    registry / journal global pattern: disabled by default, one shared
     instance, swap with :func:`set_collector`.
 
-    ``begin`` returns ``None`` while disabled so instrumented call
-    sites stay a single ``if ctx is not None`` on the untraced path.
-    Finished traces land in a bounded deque (for the critical-path
-    analyzer) and in the attached :class:`FlightRecorder`.
+    ``begin`` returns ``None`` and :meth:`span` a shared no-op while
+    disabled, so instrumented call sites cost one attribute check on
+    the untraced path.  Finished traces land in a bounded deque (for
+    the critical-path analyzer) and in the attached
+    :class:`FlightRecorder`; span roots accumulate in a list of their
+    own.
     """
 
     def __init__(self, capacity: int = 1024, enabled: bool = True,
                  flight: Optional[FlightRecorder] = None):
         self.enabled = enabled
         self.flight = flight if flight is not None else FlightRecorder()
+        self.epoch = perf_counter()
         self._traces: deque = deque(maxlen=capacity)
+        self._roots: List[_Span] = []
         self._lock = threading.Lock()
+
+    def span(self, name: str, **labels: Any):
+        """Context manager timing one region; no-op while disabled."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return _Span(self, name, labels)
 
     def begin(self, op: str, scheme: str = "",
               **baggage: Any) -> Optional[TraceContext]:
@@ -526,11 +574,77 @@ class TraceCollector:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
+            self._roots = []
         self.flight.clear()
+        self.epoch = perf_counter()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
+
+    # -- export --------------------------------------------------------
+
+    def flat(self) -> List[Dict[str, Any]]:
+        """Depth-first rows, span roots first, then one ``trace.<op>``
+        root per retained request trace with its ``stage.<name>``
+        children; ``parent`` is the parent's row index (None for roots)
+        so the JSON round-trips the tree exactly."""
+        rows: List[Dict[str, Any]] = []
+
+        def add(name, labels, start_s, duration_s, thread, depth, parent):
+            rows.append({"name": name, "labels": dict(labels),
+                         "start_s": start_s, "duration_s": duration_s,
+                         "thread": thread, "depth": depth,
+                         "parent": parent})
+            return len(rows) - 1
+
+        def walk(span: _Span, depth: int, parent: Optional[int]) -> None:
+            index = add(span.name, span.labels, span.start_s,
+                        span.duration_s, span.thread, depth, parent)
+            for child in list(span.children):
+                walk(child, depth + 1, index)
+
+        with self._lock:
+            roots = list(self._roots)
+            traces = list(self._traces)
+        for root in roots:
+            walk(root, 0, None)
+        for trace in traces:
+            # a request's stages run on several threads and tasks
+            start = trace.start_s - self.epoch
+            index = add(f"trace.{trace.op}",
+                        {"trace_id": trace.trace_id, "scheme": trace.scheme,
+                         "status": trace.status},
+                        start, trace.wall_s, "request", 0, None)
+            for stage in trace.stages:
+                add(f"stage.{stage.name}", stage.detail,
+                    start + stage.start_s, stage.duration_s, "request", 1,
+                    index)
+        return rows
+
+    def render(self) -> str:
+        """:meth:`flat` as an indented tree with wall times, for the
+        terminal."""
+        rows = self.flat()
+        if not rows:
+            return "(no spans recorded)"
+        last_child = {row["parent"]: i for i, row in enumerate(rows)}
+        pads: Dict[int, str] = {}
+        lines: List[str] = []
+        for i, row in enumerate(rows):
+            labels = " ".join(f"{k}={v}" for k, v in row["labels"].items())
+            duration = ("   (open)" if row["duration_s"] is None
+                        else f"  {row['duration_s'] * 1e3:10.2f} ms")
+            text = f"{row['name']}{' ' + labels if labels else ''}{duration}"
+            parent = row["parent"]
+            if parent is None:
+                lines.append(text)
+                pads[i] = ""
+            else:
+                tail = last_child[parent] == i
+                lines.append(f"{pads[parent]}{'`- ' if tail else '|- '}{text}")
+                pads[i] = pads[parent] + ("   " if tail else "|  ")
+        return "\n".join(lines)
 
 
 _global_collector = TraceCollector(enabled=False)
@@ -547,3 +661,8 @@ def set_collector(collector: TraceCollector) -> TraceCollector:
     previous = _global_collector
     _global_collector = collector
     return previous
+
+
+def trace_span(name: str, **labels: Any):
+    """Span on the process-wide collector (no-op while it is off)."""
+    return _global_collector.span(name, **labels)

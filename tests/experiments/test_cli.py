@@ -7,6 +7,7 @@ import pytest
 from repro.engine import all_experiment_names, validate_artifact
 import repro.experiments.__main__ as cli
 from repro.experiments.__main__ import failed_checks, main, parse_params
+from repro.obs import get_collector, get_journal, get_registry
 
 
 class TestParseParams:
@@ -51,6 +52,17 @@ class TestMain:
         artifact = json.loads(path.read_text())
         assert len(artifact["data"]["rows"]) == 2
         assert artifact["config"]["params"] == {"set_counts": [256, 512]}
+
+    def test_observed_run_restores_observability(self, tmp_path, capsys):
+        """An in-process observed run hands back the registry, trace
+        collector and journal as it found them: off."""
+        main(["fragmentation", "--metrics-out", str(tmp_path / "m.json"),
+              "--journal", str(tmp_path / "events.jsonl")])
+        capsys.readouterr()
+        assert (tmp_path / "m.json").exists()
+        assert get_registry().enabled is False
+        assert get_collector().enabled is False
+        assert get_journal().enabled is False
 
 
 class TestCheck:

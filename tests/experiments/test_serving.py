@@ -7,7 +7,7 @@ import pytest
 from repro.engine import all_experiment_names, validate_artifact
 from repro.experiments import serving
 from repro.experiments.__main__ import main
-from repro.obs import disable_observability, validate_snapshot
+from repro.obs import validate_snapshot
 
 FAST = ["--param", "requests=600", "--param", "rate_rps=20000",
         "--param", "admit_rate=10000"]
@@ -138,15 +138,11 @@ class TestCli:
         cache = tmp_path / "cache"
         args = [*FAST, "--param", "schemes=[\"pmod\"]",
                 "--cache-dir", str(cache)]
-        disable_observability()  # an earlier CLI run may have left it on
         main(["serving", *args])
         path = tmp_path / "traced.json"
-        try:
-            main(["serving", *args, "--metrics-out",
-                  str(tmp_path / "metrics.json"), "--artifact", str(path),
-                  "--check"])
-        finally:
-            disable_observability()
+        main(["serving", *args, "--metrics-out",
+              str(tmp_path / "metrics.json"), "--artifact", str(path),
+              "--check"])
         capsys.readouterr()
         checks = json.loads(path.read_text())["data"]["checks"]
         assert checks["stage_coverage_attributed"]

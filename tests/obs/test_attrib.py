@@ -2,6 +2,7 @@
 the flight recorder's bounded rings, heavy hitters, and the histogram
 exemplars that link tail quantiles to concrete traces."""
 
+import contextvars
 import json
 import threading
 
@@ -22,8 +23,6 @@ from repro.obs.attrib import (
     Trace,
     TraceCollector,
     TraceContext,
-    activate,
-    current_trace,
 )
 
 
@@ -66,22 +65,47 @@ class TestTraceContext:
         ctx.stage("queue", ctx.start_s, -0.5)
         assert ctx.finish(wall_s=0.0).stages[0].duration_s == 0.0
 
-    def test_activate_scopes_the_current_trace(self):
-        assert current_trace() is None
-        ctx = TraceContext("get")
-        with activate(ctx):
-            assert current_trace() is ctx
-        assert current_trace() is None
 
-    def test_activation_does_not_leak_across_threads(self):
-        ctx = TraceContext("get")
-        seen = []
-        with activate(ctx):
-            worker = threading.Thread(
-                target=lambda: seen.append(current_trace()))
+class TestSpanContext:
+    """The innermost open span is a contextvar: set on enter, reset on
+    exit, and visible only to code running in that context."""
+
+    @staticmethod
+    def _parents(collector):
+        rows = collector.flat()
+        return {row["name"]: (None if row["parent"] is None
+                              else rows[row["parent"]]["name"])
+                for row in rows}
+
+    @staticmethod
+    def _child(collector, name):
+        with collector.span(name):
+            pass
+
+    def test_copied_context_scopes_the_parent(self):
+        collector = TraceCollector()
+        before = contextvars.copy_context()
+        with collector.span("outer"):
+            inside = contextvars.copy_context()
+            before.run(self._child, collector, "copied_before")
+        inside.run(self._child, collector, "copied_inside")
+        self._child(collector, "after")
+        assert self._parents(collector) == {
+            "outer": None, "copied_inside": "outer",
+            "copied_before": None, "after": None,
+        }
+
+    def test_open_span_does_not_leak_across_threads(self):
+        collector = TraceCollector()
+        with collector.span("outer"):
+            worker = threading.Thread(target=self._child,
+                                      args=(collector, "worker"))
             worker.start()
             worker.join()
-        assert seen == [None]
+            self._child(collector, "inner")
+        assert self._parents(collector) == {
+            "outer": None, "inner": "outer", "worker": None,
+        }
 
 
 class TestCriticalPathAnalyzer:

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.obs import enable_observability, get_registry
+from repro.obs import enable_observability, get_registry, metrics_snapshot
 from repro.serve import (
     AdmissionConfig,
     BatchConfig,
@@ -181,6 +181,31 @@ class TestMetrics:
                    if h["name"] == "serve.latency_s"
                    and h["labels"].get("op") == "put"]
         assert latency and latency[0]["count"] == 20
+
+    def test_each_sampled_request_appears_once_in_the_spans(self):
+        """A sampled request reaches the snapshot's spans block exactly
+        once: as a ``trace.<op>`` root with one row per stage, and with
+        no second stream of flat ``serve.request`` rows beside it."""
+        registry, collector = enable_observability()
+
+        async def scenario():
+            frontend = make_frontend(registry=registry, span_every=4)
+            async with frontend:
+                await asyncio.gather(*(frontend.put(i, i) for i in range(40)))
+
+        run(scenario())
+        traces = collector.traces()
+        assert len(traces) == 10
+        spans = metrics_snapshot(registry, collector)["spans"]
+        roots = [i for i, s in enumerate(spans) if s["parent"] is None
+                 and s["name"].startswith("trace.")]
+        assert sorted(spans[i]["labels"]["trace_id"] for i in roots) \
+            == sorted(t.trace_id for t in traces)
+        assert {spans[i]["name"] for i in roots} == {"trace.put"}
+        stage_rows = [s for s in spans if s["parent"] in roots]
+        assert len(stage_rows) == sum(len(t.stages) for t in traces)
+        assert all(s["name"].startswith("stage.") for s in stage_rows)
+        assert not any(s["name"] == "serve.request" for s in spans)
 
     def test_disabled_registry_costs_nothing_visible(self):
         async def scenario():

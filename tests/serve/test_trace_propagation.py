@@ -1,74 +1,72 @@
 """Regression: span parentage must follow the request, not the thread.
 
-The old ``SpanTracer`` kept one open-span stack per thread.  Two
-asyncio tasks interleaving on the event-loop thread — or two requests'
-work items taking turns on the batcher's single executor thread —
-would therefore adopt each other's spans as children.  Parentage now
-lives on the active :class:`~repro.obs.attrib.TraceContext`'s own
-``span_stack`` (selected via a contextvar, which asyncio scopes per
-task), with the per-thread stack only a fallback for untraced code.
+A per-thread open-span stack would let two asyncio tasks interleaving
+on the event-loop thread — or two requests' work items taking turns on
+one executor thread — adopt each other's spans as children.  The
+innermost open span lives in a contextvar instead, which asyncio
+scopes per task and ``contextvars.copy_context().run`` carries onto an
+executor thread.
 """
 
 import asyncio
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs import enable_observability, get_tracer
-from repro.obs.attrib import TraceContext, activate
+from repro.obs import enable_observability, trace_span
 
 
-def _tree(span):
-    """(name, [children...]) shape of one span subtree."""
-    return (span.name, [_tree(child) for child in span.children])
+def _trees(rows):
+    """{root name: (name, [children...])} rebuilt from flat rows."""
+    nodes = [(row["name"], []) for row in rows]
+    for node, row in zip(nodes, rows):
+        if row["parent"] is not None:
+            nodes[row["parent"]][1].append(node)
+    return {node[0]: node for node, row in zip(nodes, rows)
+            if row["parent"] is None}
 
 
 class TestInterleavedTasks:
     def test_two_tasks_on_one_loop_thread_keep_their_own_spans(self):
         """Both tasks hold a span open across ``await`` points on the
         same thread; each must still parent only its own inner span."""
-        enable_observability()
-        tracer = get_tracer()
+        _, collector = enable_observability()
 
         async def request(name):
-            ctx = TraceContext(op=name)
-            with activate(ctx):
-                with tracer.span(f"{name}.request"):
-                    await asyncio.sleep(0)  # yield: the tasks interleave
-                    with tracer.span(f"{name}.store"):
-                        await asyncio.sleep(0)
+            with trace_span(f"{name}.request"):
+                await asyncio.sleep(0)  # yield: the tasks interleave
+                with trace_span(f"{name}.store"):
+                    await asyncio.sleep(0)
 
         async def drive():
             await asyncio.gather(request("a"), request("b"))
 
         asyncio.run(drive())
-        roots = {span.name: _tree(span) for span in tracer.roots}
-        assert roots == {
+        assert _trees(collector.flat()) == {
             "a.request": ("a.request", [("a.store", [])]),
             "b.request": ("b.request", [("b.store", [])]),
         }
 
     def test_two_requests_interleaving_on_one_worker_thread(self):
-        """The batcher shape: both requests hop to the *same* executor
-        thread.  Spans opened there must parent on each request's own
-        context, not on whatever the shared thread saw last."""
-        enable_observability()
-        tracer = get_tracer()
+        """Both requests hop to the *same* executor thread, each in a
+        copy of its own context.  Spans opened there must parent on
+        each request's own span, not on whatever the shared thread saw
+        last."""
+        _, collector = enable_observability()
 
-        def store_op(ctx, name):
-            with activate(ctx):  # what the batcher does per work item
-                with tracer.span(f"{name}.store"):
-                    time.sleep(0.001)
+        def store_op(name):
+            with trace_span(f"{name}.store"):
+                time.sleep(0.001)
 
         async def request(pool, name):
-            ctx = TraceContext(op=name)
             loop = asyncio.get_running_loop()
-            with activate(ctx):
-                with tracer.span(f"{name}.request"):
-                    # two hops with a yield between them, so the other
-                    # task's hop lands on the worker thread in between
-                    await loop.run_in_executor(pool, store_op, ctx, name)
+            with trace_span(f"{name}.request"):
+                # two hops with a yield between them, so the other
+                # task's hop lands on the worker thread in between
+                for _ in range(2):
+                    await loop.run_in_executor(
+                        pool, contextvars.copy_context().run, store_op, name)
                     await asyncio.sleep(0)
-                    await loop.run_in_executor(pool, store_op, ctx, name)
 
         async def drive():
             with ThreadPoolExecutor(max_workers=1) as pool:
@@ -76,21 +74,19 @@ class TestInterleavedTasks:
                                      request(pool, "b"))
 
         asyncio.run(drive())
-        roots = {span.name: _tree(span) for span in tracer.roots}
-        assert roots == {
+        assert _trees(collector.flat()) == {
             "a.request": ("a.request",
                           [("a.store", []), ("a.store", [])]),
             "b.request": ("b.request",
                           [("b.store", []), ("b.store", [])]),
         }
 
-    def test_untraced_threads_fall_back_to_thread_stacks(self):
-        """Plain threaded code with no trace in flight keeps the old
-        per-thread nesting."""
-        enable_observability()
-        tracer = get_tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+    def test_plain_code_nests_in_order(self):
+        """Synchronous code with no tasks or threads nests as written."""
+        _, collector = enable_observability()
+        with trace_span("outer"):
+            with trace_span("inner"):
                 pass
-        assert {span.name for span in tracer.roots} == {"outer"}
-        assert [c.name for c in tracer.roots[0].children] == ["inner"]
+        assert _trees(collector.flat()) == {
+            "outer": ("outer", [("inner", [])]),
+        }
