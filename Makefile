@@ -28,16 +28,20 @@ verify:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Paper-pipeline throughput: three 25 s runs of the repo benchmark's
-# paper-grid workload (seeds 1-3), then their median sim_accesses_per_s.
+# Paper-pipeline throughput: four 25 s runs of the repo benchmark's
+# paper-grid workload (seeds 1-3 and 13), then the median and range of
+# sim_accesses_per_s and the median peak_rss_mb.
 perf-paper:
-	@for seed in 1 2 3; do \
+	@for seed in 1 2 3 13; do \
 		python3 perfbench/run.py --workload paper-grid --seed $$seed \
 			--seconds 25 --trace 0 | tail -n 1; \
 	done | python3 -c 'import json, statistics, sys; \
-	rates = [json.loads(line)["metrics"]["sim_accesses_per_s"]["value"] for line in sys.stdin]; \
-	print("paper-grid sim_accesses_per_s, seeds 1-3:", " ".join("%.0f" % r for r in rates)); \
-	print("median %.0f" % statistics.median(rates))'
+	runs = [json.loads(line)["metrics"] for line in sys.stdin]; \
+	rates = [run["sim_accesses_per_s"]["value"] for run in runs]; \
+	rss = [run["peak_rss_mb"]["value"] for run in runs]; \
+	print("paper-grid sim_accesses_per_s, seeds 1 2 3 13:", " ".join("%.0f" % r for r in rates)); \
+	print("median %.0f, min-max %.0f-%.0f" % (statistics.median(rates), min(rates), max(rates))); \
+	print("median peak_rss_mb %.1f" % statistics.median(rss))'
 
 # Sharded-store replay benchmark; writes BENCH_store.json at the root.
 store-bench:

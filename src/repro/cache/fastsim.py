@@ -22,6 +22,10 @@ vectorized path computes, entirely in numpy:
    with at least ``W`` intervening accesses; shorter windows are hits
    by construction), batched by window length.
 
+:func:`lru_writebacks` extends this to a write-back cache: which
+misses evict, which block each evicts and whether it was dirty, also
+without simulated cache state (the CPU pipeline's L1 pass).
+
 Equivalence with the reference model is property-tested — the original
 pure-Python loop survives as :func:`simulate_misses_reference` and any
 divergence is a bug in one of the two.
@@ -31,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.hashing.base import IndexingFunction
 from repro.obs import get_registry
@@ -90,22 +95,31 @@ def _radix_argsort(values: np.ndarray, hi: int = None) -> np.ndarray:
     return order
 
 
-def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
-                  assoc: int, smax: int = None) -> np.ndarray:
-    """Boolean per-access miss mask of a W-way LRU set-associative cache.
+class _Links(NamedTuple):
+    """Set-major layout and same-block links of one access stream.
 
-    ``blocks`` are the block addresses in access order and ``sets`` the
-    set each maps to; a fully associative LRU cache is one set with
-    ``assoc`` equal to its capacity.  Bit-identical, access by access,
-    to the ``.hit`` sequence of an LRU
-    :class:`~repro.cache.setassoc.SetAssociativeCache` (or
-    :class:`~repro.cache.fully.FullyAssociativeCache`) fed the same
-    stream.  ``smax`` is an optional known upper bound on the set
-    indices (``n_sets - 1``), saving a max scan.
+    ``order`` lists the accesses set by set, time order kept within a
+    set, and ``pos`` is its inverse (each access's layout position);
+    ``local`` is an access's index within its set.  ``border`` sorts
+    the accesses by block, time order kept within a block, and
+    ``earlier[k]``/``later[k]`` are consecutive accesses to one block
+    (one set by construction); ``prev`` is an access's previous access
+    to its block, -1 for a first touch.
     """
+
+    order: np.ndarray
+    pos: np.ndarray
+    local: np.ndarray
+    max_group: int
+    border: np.ndarray
+    earlier: np.ndarray
+    later: np.ndarray
+    prev: np.ndarray
+
+
+def _links(blocks: np.ndarray, sets: np.ndarray, smax: int = None) -> _Links:
+    """The :class:`_Links` of a non-empty stream."""
     n = len(blocks)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     if n >= 1 << 30:  # 2*n coordinates must stay within int32
         raise ValueError("trace too long for the int32 fast path")
     arange = np.arange(n, dtype=np.int32)
@@ -122,19 +136,17 @@ def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     np.not_equal(ordered_sets[1:], ordered_sets[:-1], out=boundary[1:])
-    pos_in_layout = np.empty(n, dtype=np.int32)
-    pos_in_layout[order] = arange
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = arange
     group_firsts = arange[boundary]
     set_first = np.empty(smax + 1, dtype=np.int32)
     set_first[ordered_sets[boundary]] = group_firsts
-    local = pos_in_layout - set_first[skey]
+    local = pos - set_first[skey]
     # the largest set population bounds every set-local index
     max_group = int(np.diff(group_firsts, append=np.int32(n)).max())
 
     # Previous access of the same block (same set by construction):
-    # prev[i] = -1 when block i was never touched before.  The matching
-    # next-occurrence links are scattered straight into the window
-    # layout further down instead of materializing a full nxt array.
+    # prev[i] = -1 when block i was never touched before.
     border = _radix_argsort(blocks)
     ordered_blocks = blocks[border]
     same = np.flatnonzero(ordered_blocks[1:] == ordered_blocks[:-1])
@@ -142,7 +154,41 @@ def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     later = border[same + 1]
     prev = np.full(n, -1, dtype=np.int32)
     prev[later] = earlier
+    return _Links(order, pos, local, max_group, border, earlier, later, prev)
 
+
+def _batch_limit(n: int) -> int:
+    """Element cap on one batch's scratch for an ``n``-access stream.
+
+    A multiple of the stream length, so a short stream's many short
+    windows do not grow a batch toward the global cap; the floor keeps
+    batches of tiny streams from degenerating into single rows.
+    """
+    return min(_BATCH_ELEMENT_LIMIT, max(1 << 16, 16 * n))
+
+
+def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
+                  assoc: int, smax: int = None) -> np.ndarray:
+    """Boolean per-access miss mask of a W-way LRU set-associative cache.
+
+    ``blocks`` are the block addresses in access order and ``sets`` the
+    set each maps to; a fully associative LRU cache is one set with
+    ``assoc`` equal to its capacity.  Bit-identical, access by access,
+    to the ``.hit`` sequence of an LRU
+    :class:`~repro.cache.setassoc.SetAssociativeCache` (or
+    :class:`~repro.cache.fully.FullyAssociativeCache`) fed the same
+    stream.  ``smax`` is an optional known upper bound on the set
+    indices (``n_sets - 1``), saving a max scan.
+    """
+    if len(blocks) == 0:
+        return np.zeros(0, dtype=bool)
+    return _miss_mask(_links(blocks, sets, smax), assoc)
+
+
+def _miss_mask(links: _Links, assoc: int) -> np.ndarray:
+    """:func:`lru_miss_mask` over a non-empty stream's links."""
+    pos, local, prev = links.pos, links.local, links.prev
+    n = len(pos)
     # Reuse window of a warm access: the set-local gap between its
     # previous occurrence and itself.  Fewer than W intervening
     # accesses cannot contain W distinct blocks -> guaranteed hit.
@@ -176,68 +222,155 @@ def lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     # Sort the ambiguous windows by length up front so the batched
     # scans below slice contiguous ranges.
     prev_amb = prev[ambiguous]
-    by_length = _radix_argsort(pos_in_layout[ambiguous]
-                               - pos_in_layout[prev_amb])
+    by_length = _radix_argsort(pos[ambiguous] - pos[prev_amb])
     amb = ambiguous[by_length]
     prev_amb = prev_amb[by_length]
-    padded = 2 * pos_in_layout - local
+    padded = 2 * pos - local
     starts = padded[prev_amb] + np.int32(1)
-    lengths = pos_in_layout[amb] - pos_in_layout[prev_amb] - np.int32(1)
+    lengths = pos[amb] - pos[prev_amb] - np.int32(1)
     max_len = int(lengths[-1])
 
     # Window values are next-occurrence set-local positions; uint16
     # cells halve gather bandwidth when every set-local index fits.
-    next_locals = local[later]
-    if max_group <= 0xFFFF:
+    next_locals = local[links.later]
+    if links.max_group <= 0xFFFF:
         cell = np.uint16
         sentinel = 0xFFFF
     else:
         cell = np.int32
         sentinel = np.iinfo(np.int32).max
     layout = np.full(2 * n + max_len, sentinel, dtype=cell)
-    layout[padded[earlier]] = next_locals.astype(cell, copy=False)
+    layout[padded[links.earlier]] = next_locals.astype(cell, copy=False)
     thresholds = local[amb].astype(cell)
 
     # Scan in chunks, each chunk's width capped at 1.25x its shortest
     # length: a window's overrun then stays shorter than the window
-    # itself, hence inside its set's padding.
+    # itself, hence inside its set's padding.  A chunk gathers whole
+    # rows of a sliding-window view of the layout, so its only scratch
+    # is the windows themselves and their comparison.
     amb_miss = np.empty(amb.size, dtype=bool)
+    limit = _batch_limit(n)
     m = amb.size
-    cols = np.arange(max_len, dtype=np.int32)
-    # The scratch grows to the largest batch actually formed: allocating
-    # (and freeing) the full limit for a short stream makes glibc raise
-    # its mmap threshold and hold on to every later medium-sized free.
-    index_buf = np.empty(0, dtype=np.int32)
-    window_buf = np.empty(0, dtype=cell)
-    closes_buf = np.empty(0, dtype=bool)
     lo = 0
     while lo < m:
         shortest = int(lengths[lo])
-        hi = min(lo + max(_BATCH_ELEMENT_LIMIT // shortest, 1), m)
+        hi = min(lo + max(limit // shortest, 1), m)
         hi = int(np.searchsorted(lengths[:hi],
                                  shortest + (shortest >> 2), "right"))
         hi = max(hi, lo + 1)
         width = int(lengths[hi - 1])
-        hi = min(lo + max(_BATCH_ELEMENT_LIMIT // width, 1), hi)
+        hi = min(lo + max(limit // width, 1), hi)
         width = int(lengths[hi - 1])
-        rows = hi - lo
-        if rows * width > index_buf.size:
-            index_buf = np.empty(rows * width, dtype=np.int32)
-            window_buf = np.empty(rows * width, dtype=cell)
-            closes_buf = np.empty(rows * width, dtype=bool)
-        indices = index_buf[:rows * width].reshape(rows, width)
-        np.add(starts[lo:hi, None], cols[:width], out=indices)
-        windows = window_buf[:rows * width].reshape(rows, width)
-        np.take(layout, indices, out=windows)
-        closes = closes_buf[:rows * width].reshape(rows, width)
-        np.greater_equal(windows, thresholds[lo:hi, None], out=closes)
-        counts = np.count_nonzero(closes, axis=1)
+        windows = sliding_window_view(layout, width)[starts[lo:hi]]
+        counts = np.count_nonzero(windows >= thresholds[lo:hi, None], axis=1)
         # true distinct count = counts - (width - length); miss iff
         # that reaches the associativity
         amb_miss[lo:hi] = counts >= (assoc + width) - lengths[lo:hi]
         lo = hi
     miss[amb] = amb_miss
     return miss
+
+
+def lru_writebacks(blocks: np.ndarray, sets: np.ndarray, assoc: int,
+                   is_write: np.ndarray, smax: int = None
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-access outcome of a W-way write-back, write-allocate LRU cache.
+
+    Returns ``(miss, writeback, victims)``: the :func:`lru_miss_mask`
+    of the stream, the mask of the misses that evict a dirty block, and
+    those dirty victims' block addresses, one per ``writeback`` access
+    in access order.  Bit-identical to the ``hit``, ``writeback`` and
+    ``victim_block`` of an LRU
+    :class:`~repro.cache.setassoc.SetAssociativeCache` that starts
+    empty and is fed the same stream.
+
+    Under LRU a set holds the W most recently used distinct blocks it
+    has seen, so a miss evicts once its set has seen W distinct blocks,
+    and its victim is the W-th most recent of them.  Scanning the set
+    backwards from the miss, that is the W-th access whose block's
+    next access falls at or after the miss (:func:`_wth_last_use`).  A
+    line is dirty iff its block was written since its last fill.
+    """
+    n = len(blocks)
+    if n == 0:
+        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool),
+                np.zeros(0, dtype=np.uint64))
+    links = _links(blocks, sets, smax)
+    miss = _miss_mask(links, assoc)
+    order, pos, border = links.order, links.pos, links.border
+
+    # Dirty bit after each access.  Blocks sorted in time order, each
+    # opening with a (cold) miss: a running max of the latest fill rank
+    # and of the latest write rank compares the two within a block.
+    ranks = np.arange(n, dtype=np.int32)
+    last_fill = np.maximum.accumulate(np.where(miss[border], ranks, -1))
+    last_write = np.maximum.accumulate(
+        np.where(np.asarray(is_write, dtype=bool)[border], ranks, -1))
+    dirty = np.empty(n, dtype=bool)
+    dirty[border] = last_write >= last_fill
+
+    # A miss evicts when its set has already seen W distinct blocks.
+    first = (links.prev < 0)[order]
+    seen = np.cumsum(first, dtype=np.int32) - first  # before each slot
+    distinct_before = seen[pos] - seen[pos - links.local]
+    evicting = np.flatnonzero(miss & (distinct_before >= assoc))
+
+    next_pos = np.full(n, n, dtype=np.int32)  # n: no later access
+    next_pos[pos[links.earlier]] = pos[links.later]
+    victims = order[_wth_last_use(next_pos, pos[evicting], assoc,
+                                  _batch_limit(n))]
+    dirty_victim = dirty[victims]
+    writeback = np.zeros(n, dtype=bool)
+    writeback[evicting[dirty_victim]] = True
+    return miss, writeback, blocks[victims[dirty_victim]]
+
+
+def _wth_last_use(next_pos: np.ndarray, targets: np.ndarray, assoc: int,
+                  limit: int) -> np.ndarray:
+    """For each layout position in ``targets``, the nearest earlier
+    position that is the ``assoc``-th, counting backwards, whose next
+    access (``next_pos``) falls at or after the target.
+
+    Every target has at least ``assoc`` such positions in its own set,
+    so the scan never needs to leave it; reads beyond the answer (into
+    an earlier set, or the padding before the stream) do not matter.
+    Windows start ``2*assoc`` wide and double for the targets still
+    short of ``assoc``; ``limit`` caps one batch's elements.  A target
+    still scanning has ``offset`` at most its position, and a window is
+    at most ``offset + 2*assoc`` wide, so ``n + 2*assoc`` cells of
+    padding keep every window inside the padded array.
+    """
+    n = len(next_pos)
+    pad = n + 2 * assoc
+    padded = np.concatenate((np.full(pad, -1, dtype=next_pos.dtype),
+                             next_pos))
+    found = np.empty(len(targets), dtype=np.int32)
+    need = np.full(len(targets), assoc, dtype=np.int32)
+    active = np.arange(len(targets))
+    offset, width = 0, 2 * assoc
+    while active.size:
+        if offset >= n:
+            raise ValueError(f"a target has fewer than {assoc} last uses "
+                             "before it")
+        view = sliding_window_view(padded, width)
+        step = max(limit // width, 1)
+        still = []
+        for lo in range(0, active.size, step):
+            rows = active[lo:lo + step]
+            at = targets[rows]
+            # columns run backwards from ``offset`` positions before
+            closes = view[at + (pad - offset - width)][:, ::-1] >= at[:, None]
+            counts = np.cumsum(closes, axis=1, dtype=np.int32)
+            reached = counts >= need[rows, None]
+            done = reached[:, -1]
+            found[rows[done]] = (at[done] - offset - 1
+                                 - reached[done].argmax(axis=1))
+            need[rows[~done]] -= counts[~done, -1]
+            still.append(rows[~done])
+        active = np.concatenate(still)
+        offset += width
+        width *= 2
+    return found
 
 
 def simulate_misses(

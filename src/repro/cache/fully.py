@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.cache.setassoc import AccessResult
 from repro.cache.stats import CacheStats
 
@@ -59,6 +61,47 @@ class FullyAssociativeCache:
         return AccessResult(
             hit=False, set_index=0, victim_block=victim_block, writeback=writeback
         )
+
+    def access_batch(self, blocks: np.ndarray,
+                     is_write: np.ndarray) -> np.ndarray:
+        """:meth:`access` of every block in order; returns the miss mask.
+
+        One loop over the stream with no per-access result objects; the
+        cache and its ``stats`` end exactly as the per-access calls
+        leave them.
+        """
+        lru = self._lru
+        move_to_end = lru.move_to_end
+        popitem = lru.popitem
+        capacity = self.n_blocks
+        miss = bytearray(len(blocks))
+        evictions = writebacks = 0
+        for i, (block, write) in enumerate(zip(blocks.tolist(),
+                                               is_write.tolist())):
+            if block in lru:
+                move_to_end(block)
+                if write:
+                    lru[block] = True
+                continue
+            miss[i] = 1
+            if len(lru) >= capacity:
+                writebacks += popitem(last=False)[1]
+                evictions += 1
+            lru[block] = write
+
+        mask = np.frombuffer(miss, dtype=bool)
+        stats = self.stats
+        writes = int(np.count_nonzero(is_write))
+        misses = int(np.count_nonzero(mask))
+        stats.writes += writes
+        stats.reads += len(mask) - writes
+        stats.hits += len(mask) - misses
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        stats.set_accesses[0] += len(mask)
+        stats.set_misses[0] += misses
+        return mask
 
     def contains(self, block_address: int) -> bool:
         return block_address in self._lru

@@ -26,6 +26,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, Type
 
+import numpy as np
+
 from repro.cache.setassoc import AccessResult
 from repro.cache.stats import CacheStats
 from repro.hashing.base import BankIndexingFamily
@@ -133,6 +135,10 @@ class NrunrwPolicy(BankVictimPolicy):
         return self._rotate(list(range(cache.n_banks)))
 
 
+#: Requests :meth:`SkewedAssociativeCache.access_batch` hashes at once:
+#: bounds the Python objects held at a time.
+_BATCH_CHUNK = 4096
+
 _BANK_POLICIES: Dict[str, Type[BankVictimPolicy]] = {
     "enru": EnruPolicy,
     "nru": PlainNruPolicy,
@@ -185,13 +191,7 @@ class SkewedAssociativeCache:
 
     def access(self, block_address: int, is_write: bool = False) -> AccessResult:
         """Probe all banks; on miss, fill the policy-chosen victim frame."""
-        return self.access_at(block_address, self.family.indices(block_address),
-                              is_write)
-
-    def access_at(self, block_address: int, indices: List[int],
-                  is_write: bool = False) -> AccessResult:
-        """:meth:`access` with the block's bank indices already computed
-        (one row of :meth:`BankIndexingFamily.indices_array`)."""
+        indices = self.family.indices(block_address)
         stats = self.stats
         if is_write:
             stats.writes += 1
@@ -234,6 +234,101 @@ class SkewedAssociativeCache:
             victim_block=victim_block,
             writeback=writeback,
         )
+
+    def access_batch(self, blocks: np.ndarray,
+                     is_write: np.ndarray) -> np.ndarray:
+        """:meth:`access` of every block in order; returns the miss mask.
+
+        One loop over the stream, with the bank indices hashed in numpy
+        a chunk at a time and the lines held in flat per-frame lists
+        (frame = bank * n_sets_per_bank + index); each of the three bank
+        policies is inlined.  The cache, its policy state and its
+        ``stats`` end exactly as the per-access calls leave them.
+        """
+        policy = self.policy
+        plain = type(policy) is PlainNruPolicy
+        nrunrw = type(policy) is NrunrwPolicy
+        per_bank = self.n_sets_per_bank
+        bank_base = np.arange(0, self.n_blocks, per_bank)
+        resident = [block for bank in self._blocks for block in bank]
+        dirty = [bit for bank in self.dirty for bit in bank]
+        used = [bit for bank in self.recently_used for bit in bank]
+        empty = resident.count(None)
+        swept = None if plain else [False] * len(used)
+        tick, state, period = (policy._tick, policy._rng_state,
+                               policy._sweep_period)
+        miss = bytearray(len(blocks))
+        evictions = writebacks = 0
+        stats = self.stats
+        i = 0
+        for lo in range(0, len(blocks), _BATCH_CHUNK):
+            chunk = slice(lo, lo + _BATCH_CHUNK)
+            indices = self.family.indices_array(blocks[chunk])
+            stats.set_accesses += np.bincount(indices[:, 0],
+                                              minlength=per_bank)
+            for row, block, write in zip((indices + bank_base).tolist(),
+                                         blocks[chunk].tolist(),
+                                         is_write[chunk].tolist()):
+                tick += 1
+                if swept is not None and tick % period == 0:
+                    used[:] = swept
+                for frame in row:
+                    if resident[frame] == block:
+                        used[frame] = True
+                        if write:
+                            dirty[frame] = True
+                        break
+                else:
+                    miss[i] = 1
+                    # the first empty candidate frame, while the cache
+                    # has any (frames are never invalidated)
+                    for frame in row if empty else ():
+                        if resident[frame] is None:
+                            empty -= 1
+                            break
+                    else:
+                        candidates = [f for f in row if not used[f]]
+                        if nrunrw:
+                            candidates = (
+                                [f for f in candidates if not dirty[f]]
+                                or candidates
+                                or [f for f in row if not dirty[f]]
+                                or row)
+                        elif not candidates:
+                            if plain:
+                                for frame in row:
+                                    used[frame] = False
+                            candidates = row
+                        # BankVictimPolicy._rotate's xorshift tiebreak
+                        state ^= (state << 13) & 0xFFFFFFFF
+                        state ^= state >> 17
+                        state ^= (state << 5) & 0xFFFFFFFF
+                        frame = candidates[state % len(candidates)]
+                        evictions += 1
+                        writebacks += dirty[frame]
+                    resident[frame] = block
+                    dirty[frame] = write
+                    used[frame] = True
+                i += 1
+            chunk_miss = np.frombuffer(miss, dtype=bool)[chunk]
+            stats.set_misses += np.bincount(indices[chunk_miss, 0],
+                                            minlength=per_bank)
+
+        for bank, lo in enumerate(range(0, len(resident), per_bank)):
+            self._blocks[bank][:] = resident[lo:lo + per_bank]
+            self.dirty[bank][:] = dirty[lo:lo + per_bank]
+            self.recently_used[bank][:] = used[lo:lo + per_bank]
+        policy._tick, policy._rng_state = tick, state
+        mask = np.frombuffer(miss, dtype=bool)
+        writes = int(np.count_nonzero(is_write))
+        misses = int(np.count_nonzero(mask))
+        stats.writes += writes
+        stats.reads += len(mask) - writes
+        stats.hits += len(mask) - misses
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return mask
 
     def contains(self, block_address: int) -> bool:
         return any(

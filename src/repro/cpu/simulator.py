@@ -23,12 +23,16 @@ Two paths produce the same :class:`ExecutionResult`, bit for bit:
 
 * :func:`simulate_schemes` (and its one-scheme case
   :func:`simulate_scheme`) splits the hierarchy at the L1/L2 boundary.
-  The L1 is the same for every scheme, so one scalar L1 pass emits the
-  L2 request stream (:func:`l2_request_stream`), each LRU L2 resolves
-  that stream to a per-request miss mask in numpy
-  (:func:`~repro.cache.fastsim.lru_miss_mask`), and a lean loop turns
-  the masks into cycles.  Skewed and other non-LRU L2s replay the
-  stream through their cache object instead.
+  The L1 is the same for every scheme, so one numpy L1 pass
+  (:func:`~repro.cache.fastsim.lru_writebacks`; LRU is a stack
+  algorithm, so every L1 miss, victim and dirty bit follows from the
+  access sequence alone) emits the L2 request stream
+  (:func:`l2_request_stream`).  Each LRU L2 resolves that stream to a
+  per-request miss mask in numpy
+  (:func:`~repro.cache.fastsim.lru_miss_mask`); skewed and fully
+  associative L2s run it through their ``access_batch`` loop; any
+  other L2 replays it one ``access`` at a time.  A lean loop then turns
+  the masks into cycles.
 * :class:`Simulator` driving a :class:`~repro.cache.hierarchy.CacheHierarchy`
   one access at a time (:func:`simulate_scheme_reference`) is the
   oracle the fast path is tested against.
@@ -46,8 +50,9 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.cache.fastsim import lru_miss_mask, simulate_misses
+from repro.cache.fastsim import lru_miss_mask, lru_writebacks, simulate_misses
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.fully import FullyAssociativeCache
 from repro.cache.replacement import LRUPolicy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.skewed import SkewedAssociativeCache
@@ -215,59 +220,62 @@ class L2RequestStream:
 
 def l2_request_stream(trace: Trace,
                       config: MachineConfig = None) -> L2RequestStream:
-    """One scalar pass of the L1 (:func:`~repro.cpu.config.build_l1`)
-    over ``trace``, recording the L2 request stream it emits."""
+    """The L2 request stream the L1 (:func:`~repro.cpu.config.build_l1`)
+    emits over ``trace``, resolved in numpy by
+    :func:`~repro.cache.fastsim.lru_writebacks`."""
     config = config or MachineConfig.paper_default()
     l1_bits = log2_exact(config.l1_block_bytes)
     l2_bits = log2_exact(config.l2_block_bytes)
     if l2_bits < l1_bits:
         raise ValueError("L2 lines must be at least as large as L1 lines")
-    shift = l2_bits - l1_bits
-    access = build_l1(config).access
-    l1_blocks = (trace.addresses >> np.uint64(l1_bits)).tolist()
-    blocks, writes, index = [], [], []
-    for i, (block, is_write) in enumerate(zip(l1_blocks,
-                                              trace.is_write.tolist())):
-        result = access(block, is_write)
-        if result.hit:
-            continue
-        if result.writeback:
-            blocks.append(result.victim_block >> shift)
-            writes.append(True)
-            index.append(i)
-        blocks.append(block >> shift)
-        writes.append(False)
-        index.append(i)
-    return L2RequestStream(np.array(blocks, dtype=np.uint64),
-                           np.array(writes, dtype=bool),
-                           np.array(index, dtype=np.int64))
+    shift = np.uint64(l2_bits - l1_bits)
+    l1 = build_l1(config)
+    l1_blocks = trace.addresses >> np.uint64(l1_bits)
+    miss, writeback, victims = lru_writebacks(
+        l1_blocks, l1.indexing.index_array(l1_blocks), l1.assoc,
+        trace.is_write, smax=l1.indexing.n_sets - 1)
+    index = np.flatnonzero(miss)
+    victim_first = writeback[index]
+    per_miss = 1 + victim_first.astype(np.int64)
+    # a miss's requests start after every earlier miss's requests
+    victim_slots = (np.cumsum(per_miss) - per_miss)[victim_first]
+    blocks = np.repeat(l1_blocks[index] >> shift, per_miss)
+    blocks[victim_slots] = victims >> shift
+    is_write = np.zeros(len(blocks), dtype=bool)
+    is_write[victim_slots] = True
+    return L2RequestStream(blocks, is_write,
+                           np.repeat(index.astype(np.int64), per_miss))
 
 
 def _resolved_in_numpy(l2) -> bool:
     """Whether ``l2`` is an LRU set-associative cache, whose outcomes
-    numpy computes without replaying the stream.
-
-    The fully associative L2 replays: as one LRU set of ``n_blocks``
-    ways its reuse windows are long, so the numpy scan's scratch
-    memory would dominate the run's footprint, while the O(1)
-    ordered-dict replay costs about as much time.
-    """
+    numpy computes without replaying the stream."""
     return isinstance(l2, SetAssociativeCache) and type(l2.policy) is LRUPolicy
 
 
 def _l2_miss_mask(l2, stream: L2RequestStream) -> np.ndarray:
     """Per-request miss mask of a fresh L2 cache object over ``stream``.
 
-    LRU set-associative caches are resolved in numpy; any other cache
-    replays the stream (:func:`_replay_hits`).
+    LRU set-associative caches are resolved in numpy; skewed and fully
+    associative caches run their batch loop (``access_batch``); any
+    other cache replays the stream one ``access`` at a time.
+
+    The fully associative L2 is not resolved in numpy: as one LRU set
+    of ``n_blocks`` ways its reuse windows are long, so the numpy
+    scan's scratch memory would dominate the run's footprint.
     """
     if _resolved_in_numpy(l2):
         sets = np.asarray(l2.indexing.index_array(stream.blocks),
                           dtype=np.int64)
         return lru_miss_mask(stream.blocks, sets, l2.assoc,
                              smax=l2.indexing.n_sets - 1)
-    return ~np.fromiter(_replay_hits(l2, stream), dtype=bool,
-                        count=len(stream))
+    if isinstance(l2, (SkewedAssociativeCache, FullyAssociativeCache)):
+        return l2.access_batch(stream.blocks, stream.is_write)
+    access = l2.access
+    return np.array([not access(block, is_write).hit
+                     for block, is_write in zip(stream.blocks.tolist(),
+                                                stream.is_write.tolist())],
+                    dtype=bool)
 
 
 def l2_set_counters(l2, stream: L2RequestStream
@@ -277,42 +285,16 @@ def l2_set_counters(l2, stream: L2RequestStream
     :class:`~repro.cache.stats.CacheStats` would hold behind the L1
     that emitted the stream.
 
-    Dispatches like :func:`_l2_miss_mask`: LRU set-associative caches
-    are counted in numpy (:func:`~repro.cache.fastsim.simulate_misses`),
-    any other cache replays the stream and reports its own stats.
+    LRU set-associative caches are counted in numpy
+    (:func:`~repro.cache.fastsim.simulate_misses`); any other cache
+    resolves the stream (:func:`_l2_miss_mask`) and reports its own
+    stats.
     """
     if _resolved_in_numpy(l2):
         counts = simulate_misses(l2.indexing, stream.blocks, l2.assoc)
         return counts.set_accesses, counts.set_misses
-    for _ in _replay_hits(l2, stream):
-        pass
+    _l2_miss_mask(l2, stream)
     return l2.stats.set_accesses, l2.stats.set_misses
-
-
-#: Requests replayed per chunk: bounds the Python objects held at once.
-_REPLAY_CHUNK = 4096
-
-
-def _replay_hits(l2, stream: L2RequestStream):
-    """Hit flag of every request replayed through ``l2.access``, or
-    ``access_at`` for a skewed cache, whose bank indices are hashed in
-    numpy a chunk at a time."""
-    skewed = isinstance(l2, SkewedAssociativeCache)
-    for lo in range(0, len(stream), _REPLAY_CHUNK):
-        chunk = slice(lo, lo + _REPLAY_CHUNK)
-        blocks = stream.blocks[chunk]
-        writes = stream.is_write[chunk].tolist()
-        if skewed:
-            access_at = l2.access_at
-            yield from (access_at(block, indices, is_write).hit
-                        for block, indices, is_write in zip(
-                            blocks.tolist(),
-                            l2.family.indices_array(blocks).tolist(),
-                            writes))
-        else:
-            access = l2.access
-            yield from (access(block, is_write).hit
-                        for block, is_write in zip(blocks.tolist(), writes))
 
 
 def _time_scheme(trace: Trace, scheme: str, stream: L2RequestStream,

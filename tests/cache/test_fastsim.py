@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import FullyAssociativeCache, SetAssociativeCache
+from repro.cache import fastsim
 from repro.cache.fastsim import (
     lru_miss_mask,
+    lru_writebacks,
     simulate_fully_associative_misses,
     simulate_misses,
     simulate_misses_reference,
@@ -150,6 +152,76 @@ class TestPerAccessMask:
                              512)
         fa = FullyAssociativeCache(512)
         assert mask.tolist() == [not fa.access(int(b)).hit for b in blocks]
+
+
+class TestWritebacks:
+    """lru_writebacks agrees with a write-back SetAssociativeCache on
+    every access's hit, writeback and victim."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 255), st.booleans()),
+                 max_size=300),
+        st.sampled_from([1, 4, 16]),
+        st.sampled_from([1, 2, 3, 8]),
+    )
+    def test_matches_cache_model(self, accesses, n_sets, assoc):
+        blocks = np.array([b for b, _ in accesses], dtype=np.uint64)
+        writes = np.array([w for _, w in accesses], dtype=bool)
+        indexing = TraditionalIndexing(n_sets)
+        miss, writeback, victims = lru_writebacks(
+            blocks, indexing.index_array(blocks), assoc, writes)
+        cache = SetAssociativeCache(n_sets, assoc, TraditionalIndexing(n_sets))
+        results = [cache.access(b, w) for b, w in accesses]
+        assert miss.tolist() == [not r.hit for r in results]
+        assert writeback.tolist() == [r.writeback for r in results]
+        assert victims.tolist() == [r.victim_block for r in results
+                                    if r.writeback]
+
+    @pytest.mark.parametrize("assoc", [2, 3, 4])
+    def test_victim_found_far_back(self, assoc):
+        """One set: ``assoc - 1`` blocks, one block touched many times,
+        then new blocks; the first new block's victim is the stream's
+        first access, reached only by a long backward scan."""
+        for repeats in range(1, 70):
+            accesses = ([(10 + k, k == 0) for k in range(assoc - 1)]
+                        + [(99, False)] * repeats + [(200, False), (201, True)])
+            blocks = np.array([b for b, _ in accesses], dtype=np.uint64)
+            writes = np.array([w for _, w in accesses], dtype=bool)
+            miss, writeback, victims = lru_writebacks(
+                blocks, np.zeros(len(blocks), dtype=np.int64), assoc, writes)
+            cache = SetAssociativeCache(1, assoc, TraditionalIndexing(1))
+            results = [cache.access(b, w) for b, w in accesses]
+            assert writeback.tolist() == [r.writeback for r in results]
+            assert victims.tolist() == [r.victim_block for r in results
+                                        if r.writeback] == [10]
+
+
+class TestBatchLimit:
+    """Batching only bounds scratch memory: a one-element batch limit
+    gives the same masks as the default one."""
+
+    @pytest.mark.parametrize("shape", ["l1", "l2"])
+    def test_masks_independent_of_batch_limit(self, monkeypatch, shape):
+        from repro.workloads import get_workload
+        trace = get_workload("tree").trace(scale=0.05, seed=0)
+        if shape == "l1":  # 32 B lines, 256 sets, 2-way
+            blocks, indexing, assoc = (trace.block_addresses(32),
+                                       TraditionalIndexing(256), 2)
+        else:  # 64 B lines, 2048 prime-modulo sets, 4-way
+            blocks, indexing, assoc = (trace.block_addresses(64),
+                                       PrimeModuloIndexing(2048), 4)
+        sets = indexing.index_array(blocks)
+
+        def masks():
+            return (lru_miss_mask(blocks, sets, assoc),
+                    *lru_writebacks(blocks, sets, assoc, trace.is_write))
+
+        default = masks()
+        assert default[0].any() and default[1].any()
+        monkeypatch.setattr(fastsim, "_BATCH_ELEMENT_LIMIT", 1)
+        for limited, expected in zip(masks(), default):
+            assert limited.tolist() == expected.tolist()
 
 
 class TestInterface:

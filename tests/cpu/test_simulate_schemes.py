@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu import (
@@ -135,6 +136,59 @@ class TestVictimFillQuirk:
         assert stream.access_index[-2:].tolist() == [last, last]
         assert stream.is_write[-2:].tolist() == [True, False]
         assert stream.blocks[-2:].tolist() == [A >> 6, C >> 6]
+
+
+def per_access_stream(trace, config):
+    """The L2 requests of a per-access build_l1 replay of ``trace``:
+    (block, is_write, access index) of each, in program order."""
+    l1_bits = config.l1_block_bytes.bit_length() - 1
+    shift = config.l2_block_bytes.bit_length() - 1 - l1_bits
+    l1 = build_l1(config)
+    requests = []
+    for i, (address, is_write) in enumerate(zip(trace.addresses.tolist(),
+                                                trace.is_write.tolist())):
+        result = l1.access(address >> l1_bits, is_write)
+        if result.hit:
+            continue
+        if result.writeback:
+            requests.append((result.victim_block >> shift, True, i))
+        requests.append((address >> l1_bits >> shift, False, i))
+    return requests
+
+
+def stream_requests(stream):
+    return list(zip(stream.blocks.tolist(), stream.is_write.tolist(),
+                    stream.access_index.tolist()))
+
+
+class TestRequestStream:
+    """The numpy L1 pass emits exactly the requests of a per-access L1."""
+
+    @pytest.mark.parametrize("workload", all_workload_names())
+    def test_matches_per_access_l1(self, workload):
+        trace = workload_trace(workload)
+        for l1_assoc in (1, 2, 4, 8):
+            config = MachineConfig(l1_assoc=l1_assoc)
+            stream = l2_request_stream(trace, config)
+            assert stream.blocks.dtype == np.uint64
+            assert stream.access_index.dtype == np.int64
+            assert stream_requests(stream) == per_access_stream(
+                trace, config), l1_assoc
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4095), st.booleans()),
+                    max_size=300),
+           st.sampled_from([1, 2, 4, 8]),
+           st.sampled_from([32, 64]))
+    def test_random_traces_with_writes(self, accesses, l1_assoc, l2_line):
+        # four L1 sets, so most misses evict
+        config = MachineConfig(l1_bytes=4 * 32 * l1_assoc, l1_assoc=l1_assoc,
+                               l2_block_bytes=l2_line)
+        trace = Trace("random",
+                      np.array([8 * a for a, _ in accesses], dtype=np.uint64),
+                      np.array([w for _, w in accesses], dtype=bool))
+        assert stream_requests(l2_request_stream(trace, config)) == (
+            per_access_stream(trace, config))
 
 
 class TestInterface:
